@@ -30,13 +30,10 @@ import os
 import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..lint_parser import DEFAULT_CACHE_DIR
 from .finding import Finding
 
 __all__ = ["DEFAULT_CACHE_DIR", "SummaryCache", "rules_fingerprint"]
-
-#: Default cache location, relative to the config root (the directory of
-#: the governing ``pyproject.toml``) or the working directory.
-DEFAULT_CACHE_DIR = os.path.join(".repro", "checks-cache")
 
 _FINDING_FIELDS = ("path", "line", "col", "rule", "severity", "message", "hint")
 

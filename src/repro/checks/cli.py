@@ -22,7 +22,8 @@ import os
 import subprocess
 from typing import List, Optional
 
-from .cache import DEFAULT_CACHE_DIR, SummaryCache
+from ..lint_parser import DEFAULT_CACHE_DIR, build_lint_parser
+from .cache import SummaryCache
 from .config import CheckConfig, load_config
 from .driver import lint_project
 from .registry import all_rules
@@ -30,63 +31,6 @@ from .report import exit_code, format_json, format_text
 from .sarif import format_sarif
 
 __all__ = ["build_lint_parser", "main", "run_lint"]
-
-
-def build_lint_parser(parser: Optional[argparse.ArgumentParser] = None) -> argparse.ArgumentParser:
-    """The lint argument surface (shared by ``repro lint`` and ``-m``)."""
-    if parser is None:
-        parser = argparse.ArgumentParser(
-            prog="repro lint",
-            description="check the repro invariants (determinism, mergeability, "
-            "picklability, cross-module contracts) with the RC rule pack",
-        )
-    parser.add_argument(
-        "paths", nargs="*",
-        help="files/directories to lint (default: paths from pyproject.toml, "
-        "falling back to src/repro)",
-    )
-    parser.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-        help="report format on stdout (default: text)",
-    )
-    parser.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="also write the report to PATH (e.g. the CI lint artifact)",
-    )
-    parser.add_argument(
-        "--sarif", default=None, metavar="PATH",
-        help="also write a SARIF 2.1.0 log to PATH (independent of --format)",
-    )
-    parser.add_argument(
-        "--select", default=None, metavar="RULES",
-        help="comma-separated rule ids to run (default: all enabled rules)",
-    )
-    parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
-        help="only report findings in files changed vs REF (git diff + "
-        "untracked; default REF: HEAD)",
-    )
-    parser.add_argument(
-        "--config", default=None, metavar="PYPROJECT",
-        help="explicit pyproject.toml (default: auto-discover from cwd)",
-    )
-    parser.add_argument(
-        "--no-config", action="store_true",
-        help="ignore pyproject.toml and run with built-in defaults",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental summary cache for this run",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help=f"cache location (default: config cache_dir or {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the registered rules and exit",
-    )
-    return parser
 
 
 def _discover_pyproject() -> Optional[str]:

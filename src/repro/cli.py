@@ -84,6 +84,7 @@ from .core import (
 )
 from .engine import DEFAULT_CHUNK_SIZE, RowPredicate, read_dataset_dir_chunked
 from .engine.runner import parallel_map, resilient_map
+from .lint_parser import build_lint_parser
 from .obs import (
     collecting,
     configure_logging,
@@ -454,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--output", default="-", help="scrub report JSON path ('-' for stdout)"
     )
-
-    from .checks.cli import build_lint_parser
 
     lint = sub.add_parser(
         "lint",
@@ -1009,6 +1008,7 @@ def _append_run_record(
     registry: metrics.MetricsRegistry,
     wall: float,
     cpu: float,
+    startup_cpu: float,
     exit_code: Optional[int],
 ) -> None:
     """Build this run's ledger record and append it (never fails the run)."""
@@ -1026,6 +1026,7 @@ def _append_run_record(
         registry=registry,
         wall_seconds=wall,
         cpu_seconds=cpu,
+        startup_cpu_seconds=startup_cpu,
         exit_code=exit_code,
     )
     path = ledger.try_append_record(record, getattr(args, "ledger_dir", None))
@@ -1058,6 +1059,9 @@ def _invoke(handler: Callable[[argparse.Namespace], int], args: argparse.Namespa
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # CPU the process spent before this point: interpreter start-up and
+    # imports, which the run's own wall/CPU timings below do not cover.
+    startup_cpu = process_time()
     args = build_parser().parse_args(argv)
     configure_logging(level=args.log_level, json_lines=args.log_json)
     handlers = {
@@ -1104,7 +1108,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 timeline.write_chrome_trace(trace_out, events.events)
                 _log.info("trace_written", path=trace_out, events=len(events.events))
             if use_ledger:
-                _append_run_record(args, registry, wall, cpu, rc)
+                _append_run_record(args, registry, wall, cpu, startup_cpu, rc)
     return rc if rc is not None else 1
 
 

@@ -144,6 +144,7 @@ def build_record(
     results: Optional[Any] = None,
     wall_seconds: Optional[float] = None,
     cpu_seconds: Optional[float] = None,
+    startup_cpu_seconds: Optional[float] = None,
     errors: Optional[Dict[str, Any]] = None,
     exit_code: Optional[int] = None,
     extra: Optional[Dict[str, Any]] = None,
@@ -154,6 +155,9 @@ def build_record(
     its flattened numeric view, and derived span stats; ``metrics``
     entries are folded on top (benchmark headline numbers).  ``results``
     is free-form benchmark payload (timing record lists).
+    ``startup_cpu_seconds`` is the process CPU time spent before the
+    command's entry point ran (interpreter start-up and imports), which
+    ``wall_seconds``/``cpu_seconds`` do not cover.
     """
     config = dict(config or {})
     digest = config_digest(config)
@@ -168,6 +172,9 @@ def build_record(
     if cpu_seconds is not None:
         timings["cpu_seconds"] = cpu_seconds
         flat["run.cpu_seconds"] = cpu_seconds
+    if startup_cpu_seconds is not None:
+        timings["startup_cpu_seconds"] = startup_cpu_seconds
+        flat["run.startup_cpu_seconds"] = startup_cpu_seconds
     record: Dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "run_id": _new_run_id(digest),

@@ -5,26 +5,33 @@ model storage-trace inter-arrival times by fitting candidate parametric
 distributions and ranking them by goodness of fit.  This module fits the
 classic candidates — exponential, lognormal, Weibull, Pareto, and gamma —
 to a positive sample and ranks them by the Kolmogorov-Smirnov statistic.
+
+scipy is imported inside the functions that fit, not at module level:
+``repro`` re-exports this module eagerly, and no CLI command fits, so a
+module-level import would put scipy on every command's start-up path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sstats
+
+if TYPE_CHECKING:
+    from scipy.stats._distn_infrastructure import rv_continuous_frozen
 
 __all__ = ["DistributionFit", "fit_distributions", "best_fit", "CANDIDATES"]
 
-#: Candidate scipy distributions (fit with location pinned at 0, which is
-#: the right convention for inter-arrival times).
-CANDIDATES: Dict[str, sstats.rv_continuous] = {
-    "exponential": sstats.expon,
-    "lognormal": sstats.lognorm,
-    "weibull": sstats.weibull_min,
-    "pareto": sstats.pareto,
-    "gamma": sstats.gamma,
+#: Candidate distributions: our name -> the ``scipy.stats`` attribute
+#: (fit with location pinned at 0, which is the right convention for
+#: inter-arrival times).
+CANDIDATES: Dict[str, str] = {
+    "exponential": "expon",
+    "lognormal": "lognorm",
+    "weibull": "weibull_min",
+    "pareto": "pareto",
+    "gamma": "gamma",
 }
 
 
@@ -37,9 +44,11 @@ class DistributionFit:
     ks_statistic: float
     ks_pvalue: float
 
-    def frozen(self) -> "sstats.rv_frozen":
+    def frozen(self) -> rv_continuous_frozen:
         """The fitted scipy distribution, ready for sampling/evaluation."""
-        return CANDIDATES[self.name](*self.params)
+        from scipy import stats as sstats
+
+        return getattr(sstats, CANDIDATES[self.name])(*self.params)
 
     def quantile(self, q: float) -> float:
         return float(self.frozen().ppf(q))
@@ -61,9 +70,11 @@ def fit_distributions(
     unknown = set(candidates) - set(CANDIDATES)
     if unknown:
         raise ValueError(f"unknown candidates: {sorted(unknown)}")
+    from scipy import stats as sstats
+
     fits: List[DistributionFit] = []
     for name in candidates:
-        dist = CANDIDATES[name]
+        dist = getattr(sstats, CANDIDATES[name])
         try:
             params = dist.fit(arr, floc=0.0)
             ks = sstats.kstest(arr, dist.name, args=params)

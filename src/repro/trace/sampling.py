@@ -15,6 +15,10 @@ This module implements that pipeline for a single volume:
   picking the interval nearest each centroid,
 * :class:`SampledTrace` — the chosen intervals with replay weights, and
   a weighted request-count estimator for validation.
+
+scipy's k-means is imported inside :func:`select_representatives`:
+``repro.trace`` re-exports this module eagerly and no CLI command
+samples, so a module-level import would slow every command's start-up.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from .dataset import VolumeTrace
 
@@ -110,6 +113,8 @@ def select_representatives(
     """
     if k <= 0:
         raise ValueError("k must be positive")
+    from scipy.cluster.vq import kmeans2
+
     starts, features = interval_features(trace, interval)
     n = len(starts)
     k = min(k, n)

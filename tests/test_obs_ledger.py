@@ -72,6 +72,11 @@ class TestBuildRecord:
         assert record["host"]["python"]
         json.dumps(record)  # JSON-clean as built
 
+    def test_startup_cpu_lands_in_timings_and_metrics(self):
+        record = ledger.build_record("cli.analyze", wall_seconds=1.0, startup_cpu_seconds=0.25)
+        assert record["timings"] == {"wall_seconds": 1.0, "startup_cpu_seconds": 0.25}
+        assert record["metrics"]["run.startup_cpu_seconds"] == 0.25
+
     def test_explicit_metrics_override_registry(self):
         record = ledger.build_record(
             "bench", registry=make_registry(), metrics={"parse.lines": 7.0}

@@ -75,6 +75,21 @@ class TestShow:
         assert record["kind"] == "bench_engine"
         assert record["metrics"]["engine.requests_per_second"] == 1200.0
 
+    def test_show_reports_cli_startup_cpu(self, tmp_path, capsys):
+        trace_dir, runs_dir = str(tmp_path / "fleet"), str(tmp_path / "runs")
+        assert main(["generate", trace_dir, "--volumes", "2", "--days", "1",
+                     "--day-seconds", "30"]) == 0
+        assert main(["stream-analyze", trace_dir, "--workers", "1",
+                     "--output", str(tmp_path / "out.json"),
+                     "--ledger-dir", runs_dir]) == 0
+        capsys.readouterr()
+        assert main(["runs", "show", "latest", "--ledger-dir", runs_dir]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["kind"] == "cli.stream-analyze"
+        startup = record["timings"]["startup_cpu_seconds"]
+        assert startup > 0
+        assert record["metrics"]["run.startup_cpu_seconds"] == startup
+
     def test_show_by_unique_prefix(self, ledger_dir, capsys):
         run_id = ledger.load_record(ledger.list_records(ledger_dir)[0])["run_id"]
         assert main(["runs", "show", run_id, "--ledger-dir", ledger_dir]) == 0

@@ -71,7 +71,7 @@ import math
 import os
 import sys
 from time import perf_counter, process_time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -150,34 +150,45 @@ def _add_filter_flags(
     ``--volumes`` already means the synthetic fleet size.
     """
     parser.add_argument(
-        "--since", type=float, default=None, metavar="SECONDS",
+        "--since", type=_finite_seconds, default=None, metavar="SECONDS",
         help="keep only requests with timestamp >= SECONDS "
         "(half-open window; pushed down the data path)",
     )
     parser.add_argument(
-        "--until", type=float, default=None, metavar="SECONDS",
+        "--until", type=_finite_seconds, default=None, metavar="SECONDS",
         help="keep only requests with timestamp < SECONDS",
     )
     parser.add_argument(
-        volumes_flag, dest="filter_volumes", default=None, metavar="IDS",
+        volumes_flag, dest="filter_volumes", type=_id_list, default=None, metavar="IDS",
         help="comma-separated volume ids to keep (others are skipped "
         "without being read on a warm store)",
     )
 
 
-def _row_predicate(args: argparse.Namespace) -> Optional[RowPredicate]:
-    """The run's :class:`RowPredicate` from the filter flags (or None)."""
-    since = getattr(args, "since", None)
-    until = getattr(args, "until", None)
-    raw_volumes = getattr(args, "filter_volumes", None)
-    volumes = (
-        tuple(v for v in (part.strip() for part in raw_volumes.split(",")) if v)
-        if raw_volumes
-        else None
-    )
-    if since is None and until is None and volumes is None:
-        return None
-    return RowPredicate(since=since, until=until, volumes=volumes)
+def _finite_seconds(text: str) -> float:
+    """argparse type of ``--since`` / ``--until``: finite seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number of seconds: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number of seconds, got {text!r}")
+    return value
+
+
+def _split_ids(text: str) -> Tuple[str, ...]:
+    return tuple(v for v in (part.strip() for part in text.split(",")) if v)
+
+
+def _id_list(text: str) -> str:
+    """argparse type of the volume-id filter: at least one id.
+
+    Keeps the text as typed, so the run's config digest records the flag
+    verbatim; :func:`_engine_kwargs` splits it.
+    """
+    if not _split_ids(text):
+        raise argparse.ArgumentTypeError(f"no volume ids in {text!r}")
+    return text
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -527,35 +538,34 @@ def _progress_callback(args: argparse.Namespace, stage: str) -> Optional[Callabl
     return callback
 
 
-def _store_config(args: argparse.Namespace, build: bool = True) -> Optional[StoreConfig]:
-    """``--store``/``--no-store``/``--store-dir`` as a StoreConfig (or None).
+def _engine_kwargs(args: argparse.Namespace, build: bool = True) -> Dict[str, Any]:
+    """The engine kwargs every data-reading command takes from its flags.
 
-    ``--store-dir`` or ``--verify-store`` alone imply the store is on;
-    an explicit ``--no-store`` always wins.
+    ``--store-dir`` or ``--verify-store`` alone imply the store is on; an
+    explicit ``--no-store`` always wins, and ``build=False`` reuses fresh
+    entries without building new ones.  The filter flags become one
+    :class:`RowPredicate` (None when unset).
     """
     enabled = getattr(args, "store", None)
     store_dir = getattr(args, "store_dir", None)
     verify = bool(getattr(args, "verify_store", False))
     if enabled is None:
         enabled = store_dir is not None or verify
-    if not enabled:
-        return None
-    return StoreConfig(dir=store_dir, build=build, verify=verify)
-
-
-def _resilience_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
-    """The engine's fault-tolerance kwargs from the shared CLI flags."""
+    since = getattr(args, "since", None)
+    until = getattr(args, "until", None)
+    raw_volumes = getattr(args, "filter_volumes", None)
+    volumes = _split_ids(raw_volumes) if raw_volumes is not None else None
     max_retries = getattr(args, "max_retries", 0)
     return {
+        "chunk_size": args.chunk_size,
+        "workers": args.workers,
+        "store": StoreConfig(dir=store_dir, build=build, verify=verify) if enabled else None,
+        "predicate": None
+        if since is None and until is None and volumes is None
+        else RowPredicate(since=since, until=until, volumes=volumes),
         "on_error": getattr(args, "on_error", ON_ERROR_STRICT),
         "retry": RetryPolicy(max_retries=max_retries) if max_retries > 0 else None,
         "unit_timeout": getattr(args, "unit_timeout", None),
-    }
-
-
-def _schedule_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
-    """The engine's scheduling kwargs (``--split-rows`` / ``--backend``)."""
-    return {
         "split_rows": getattr(args, "split_rows", 0),
         "backend": getattr(args, "backend", None),
     }
@@ -612,8 +622,6 @@ def _ingest(args: argparse.Namespace) -> int:
         force=args.force,
         progress=_progress_callback(args, "ingest"),
     )
-    if not reports:
-        raise FileNotFoundError(f"no trace files in {args.trace_dir!r}")
     built = sum(r.built for r in reports)
     payload = json.dumps(
         {
@@ -640,37 +648,29 @@ def _ingest(args: argparse.Namespace) -> int:
 
 
 def _analyze(args: argparse.Namespace) -> int:
-    res = _resilience_kwargs(args)
-    errors = RunErrors(policy=res["on_error"])
+    engine = _engine_kwargs(args)
+    errors = RunErrors(policy=engine["on_error"])
     dataset = read_dataset_dir_chunked(
-        args.trace_dir, fmt=args.format,
-        chunk_size=args.chunk_size, workers=args.workers,
-        progress=_progress_callback(args, "parse"),
-        errors=errors, store=_store_config(args),
-        predicate=_row_predicate(args), **res, **_schedule_kwargs(args),
+        args.trace_dir, fmt=args.format, progress=_progress_callback(args, "parse"),
+        errors=errors, **engine,
     )
     volumes = dataset.volumes()
     # Big volumes profile first (LPT) so the fleet's straggler volume
     # cannot land on the last pool slot.
     volume_costs = [float(len(v)) for v in volumes]
-    backend = getattr(args, "backend", None)
-    if res["on_error"] == ON_ERROR_STRICT:
-        raw = list(
-            parallel_map(
-                _profile_volume, volumes, args.workers,
-                progress=_progress_callback(args, "profile"),
-                retry=res["retry"], unit_timeout=res["unit_timeout"],
-                backend=backend, priorities=volume_costs,
-                block_size=args.block_size,
-            )
-        )
+    pool = {
+        "progress": _progress_callback(args, "profile"),
+        "retry": engine["retry"],
+        "unit_timeout": engine["unit_timeout"],
+        "backend": engine["backend"],
+        "priorities": volume_costs,
+        "block_size": args.block_size,
+    }
+    if engine["on_error"] == ON_ERROR_STRICT:
+        raw = parallel_map(_profile_volume, volumes, args.workers, **pool)
     else:
         maybe, errors = resilient_map(
-            _profile_volume, volumes, args.workers,
-            progress=_progress_callback(args, "profile"),
-            retry=res["retry"], unit_timeout=res["unit_timeout"],
-            backend=backend, priorities=volume_costs,
-            errors=errors, block_size=args.block_size,
+            _profile_volume, volumes, args.workers, errors=errors, **pool
         )
         raw = [p for p in maybe if p is not None]
     profiles = [_json_safe(d) for d in raw]
@@ -686,14 +686,11 @@ def _analyze(args: argparse.Namespace) -> int:
 
 
 def _report(args: argparse.Namespace) -> int:
-    errors = RunErrors(policy=getattr(args, "on_error", ON_ERROR_STRICT))
+    engine = _engine_kwargs(args)
+    errors = RunErrors(policy=engine["on_error"])
     dataset = read_dataset_dir_chunked(
-        args.trace_dir, fmt=args.format,
-        chunk_size=args.chunk_size, workers=args.workers,
-        progress=_progress_callback(args, "parse"),
-        errors=errors, store=_store_config(args),
-        predicate=_row_predicate(args), **_resilience_kwargs(args),
-        **_schedule_kwargs(args),
+        args.trace_dir, fmt=args.format, progress=_progress_callback(args, "parse"),
+        errors=errors, **engine,
     )
     _emit_error_reports(args, errors)
     stats = basic_statistics(dataset, block_size=args.block_size, workers=args.workers)
@@ -717,26 +714,19 @@ def _report(args: argparse.Namespace) -> int:
 def _findings(args: argparse.Namespace) -> int:
     scale_a = alicloud_scale(day_seconds=args.day_seconds)
     scale_m = msrc_scale(day_seconds=args.day_seconds)
-    res = _resilience_kwargs(args)
-    errors = RunErrors(policy=res["on_error"])
-    predicate = _row_predicate(args)
+    engine = _engine_kwargs(args)
+    errors = RunErrors(policy=engine["on_error"])
     if args.ali_dir is not None:
         ali = read_dataset_dir_chunked(
-            args.ali_dir, fmt="alicloud",
-            chunk_size=args.chunk_size, workers=args.workers,
-            progress=_progress_callback(args, "parse-ali"),
-            errors=errors, store=_store_config(args),
-            predicate=predicate, **res, **_schedule_kwargs(args),
+            args.ali_dir, fmt="alicloud", progress=_progress_callback(args, "parse-ali"),
+            errors=errors, **engine,
         )
     else:
         ali = make_alicloud_fleet(n_volumes=args.volumes, seed=args.seed, scale=scale_a)
     if args.msrc_dir is not None:
         msrc = read_dataset_dir_chunked(
-            args.msrc_dir, fmt="msrc",
-            chunk_size=args.chunk_size, workers=args.workers,
-            progress=_progress_callback(args, "parse-msrc"),
-            errors=errors, store=_store_config(args),
-            predicate=predicate, **res, **_schedule_kwargs(args),
+            args.msrc_dir, fmt="msrc", progress=_progress_callback(args, "parse-msrc"),
+            errors=errors, **engine,
         )
     else:
         msrc = make_msrc_fleet(n_volumes=36, seed=args.seed + 1, scale=scale_m)
@@ -836,8 +826,6 @@ def _stream_analyze(args: argparse.Namespace) -> int:
     from .engine.chunks import list_trace_files
 
     files = list_trace_files(args.trace_dir)
-    if not files:
-        raise FileNotFoundError(f"no trace files in {args.trace_dir!r}")
     checkpoint = _checkpoint_config(args)
     # Checkpointed runs turn the first SIGINT/SIGTERM into a clean
     # RunInterrupted unwind (main() maps it to exit 128+signum after the
@@ -849,14 +837,9 @@ def _stream_analyze(args: argparse.Namespace) -> int:
             files,
             [StreamingProfileAnalyzer(block_size=args.block_size)],
             fmt=args.format,
-            chunk_size=args.chunk_size,
-            workers=args.workers,
             progress=_progress_callback(args, "fold"),
-            store=_store_config(args),
-            predicate=_row_predicate(args),
             checkpoint=checkpoint,
-            **_resilience_kwargs(args),
-            **_schedule_kwargs(args),
+            **_engine_kwargs(args),
         )
     _emit_error_reports(args, result.errors)
     profiles = result.analyzer("streaming_profile")
@@ -873,9 +856,7 @@ def _stream_analyze(args: argparse.Namespace) -> int:
                         "write_bytes": p.write_bytes,
                         "duration_seconds": p.duration,
                         "average_intensity": p.average_intensity,
-                        "write_read_ratio": p.write_read_ratio
-                        if p.write_read_ratio != float("inf")
-                        else None,
+                        "write_read_ratio": p.write_read_ratio,
                         "wss_total_bytes": p.wss_total_bytes,
                         "wss_read_bytes": p.wss_read_bytes,
                         "wss_write_bytes": p.wss_write_bytes,
@@ -908,7 +889,7 @@ def _validate(args: argparse.Namespace) -> int:
         workers=args.workers,
         progress=_progress_callback(args, "validate"),
         # Preflight reuses fresh entries but never builds new ones.
-        store=_store_config(args, build=False),
+        store=_engine_kwargs(args, build=False)["store"],
     )
     if report.ok:
         print("OK: no issues found")
@@ -1062,7 +1043,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     # CPU the process spent before this point: interpreter start-up and
     # imports, which the run's own wall/CPU timings below do not cover.
     startup_cpu = process_time()
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    since, until = getattr(args, "since", None), getattr(args, "until", None)
+    if since is not None and until is not None and since >= until:
+        parser.error(f"--since ({since:g}) must be less than --until ({until:g})")
     configure_logging(level=args.log_level, json_lines=args.log_json)
     handlers = {
         "generate": _generate,

@@ -740,44 +740,38 @@ class _VolumeColumns:
         self.response_times: List[np.ndarray] = []
 
 
-def _read_file_columns(
-    unit: Any,
-    fmt: str,
-    chunk_size: int,
-    on_error: str = ON_ERROR_STRICT,
-    store: Optional["StoreConfig"] = None,
-    plan: Optional[QueryPlan] = None,
-) -> Tuple[Dict[str, "_VolumeColumns"], Optional[ParseErrors]]:
-    """Parse one unit into per-volume column fragments (worker unit).
+class _ColumnCollector:
+    """The fold behind dataset materialization: keep every chunk's columns.
 
-    ``unit`` is a file path or a :class:`~repro.engine.units.WorkUnit`
-    sub-range of one.  Returns the fragments plus the unit's dropped-line
-    ledger (None when the policy is strict or the unit parsed clean).
-    With ``store`` set, each worker serves its unit from its own store
-    mmap when possible; ``store.verify`` keeps a collector alive even
-    under ``strict`` so store-integrity events are shipped back.
+    Declares no ``required_columns`` (it reads them all), so the run's
+    plan is exactly the caller's predicate.  ``merge`` concatenates in
+    time order, so the merged buffers are the unsplit read's bytes.
     """
-    from .units import unit_chunks
 
-    verifying = store is not None and store.verify
-    parse_errors = ParseErrors() if (on_error != ON_ERROR_STRICT or verifying) else None
-    acc: Dict[str, _VolumeColumns] = {}
-    for chunk in unit_chunks(
-        unit, fmt=fmt, chunk_size=chunk_size, on_error=on_error,
-        errors=parse_errors, store=store, plan=plan,
-    ):
-        cols = acc.get(chunk.volume_id)
-        if cols is None:
-            cols = acc[chunk.volume_id] = _VolumeColumns()
-        cols.timestamps.append(chunk.timestamps)
-        cols.offsets.append(chunk.offsets)
-        cols.sizes.append(chunk.sizes)
-        cols.is_write.append(chunk.is_write)
+    name = "columns"
+
+    def init_state(self, volume_id: str) -> _VolumeColumns:
+        return _VolumeColumns()
+
+    def consume(self, state: _VolumeColumns, chunk: Chunk) -> _VolumeColumns:
+        state.timestamps.append(chunk.timestamps)
+        state.offsets.append(chunk.offsets)
+        state.sizes.append(chunk.sizes)
+        state.is_write.append(chunk.is_write)
         if chunk.response_times is not None:
-            cols.response_times.append(chunk.response_times)
-    if parse_errors is not None and not (parse_errors.dropped or parse_errors.store_events):
-        parse_errors = None
-    return acc, parse_errors
+            state.response_times.append(chunk.response_times)
+        return state
+
+    def merge(self, earlier: _VolumeColumns, later: _VolumeColumns) -> _VolumeColumns:
+        earlier.timestamps.extend(later.timestamps)
+        earlier.offsets.extend(later.offsets)
+        earlier.sizes.extend(later.sizes)
+        earlier.is_write.extend(later.is_write)
+        earlier.response_times.extend(later.response_times)
+        return earlier
+
+    def finalize(self, state: _VolumeColumns) -> _VolumeColumns:
+        return state
 
 
 def read_dataset_dir_chunked(
@@ -800,26 +794,20 @@ def read_dataset_dir_chunked(
 
     Produces an identical :class:`~repro.trace.dataset.TraceDataset` (same
     volumes, same arrays) but parses each file in columnar batches and can
-    fan files out across ``workers`` processes.  Results are deterministic:
-    files are always merged in sorted-path order regardless of worker
-    completion order.  Parse metrics (lines, bytes, chunks) land in the
-    caller's current registry at any worker count, and
-    ``progress(done, total)`` fires per completed file.
+    fan files out across ``workers`` processes.  It is a fold on the
+    engine's file driver (:func:`repro.engine.runner.run_files` runs the
+    same one): a column-collecting analyzer keeps every chunk, and the
+    merged per-volume columns are concatenated in canonical (file, range)
+    order — regardless of worker completion order, split configuration
+    or worker count, every volume's arrays are the same bytes.  Volumes
+    keep their first appearance in that order (not sorted).  Parse and
+    engine metrics land in the caller's current registry at any worker
+    count, and ``progress(done, total)`` fires per completed unit.
 
-    With ``split_rows > 0``, files larger than the threshold are split
-    into range sub-units (:func:`repro.engine.units.plan_units`) and all
-    units dispatched longest-first, so wall-clock tracks total rows
-    instead of the largest file.  The materialized dataset is
-    **byte-identical** to the unsplit read: workers ship raw per-volume
-    column fragments and this function concatenates them in canonical
-    (file, range) order, so every volume's arrays are the same bytes at
-    any split configuration and worker count.  ``backend`` picks the
-    execution backend (see :mod:`repro.engine.backends`).
-
-    Fault tolerance mirrors :func:`repro.engine.runner.run_files`:
-    ``on_error`` governs malformed lines and (non-strict) permanently
-    failed files, ``retry`` / ``unit_timeout`` govern unit recovery, and
-    ``errors`` (when given) collects the run's fault ledger.
+    Scheduling, ``split_rows``, ``backend`` and fault tolerance are the
+    driver's: ``on_error`` governs malformed lines and (non-strict)
+    permanently failed files, ``retry`` / ``unit_timeout`` govern unit
+    recovery, and ``errors`` (when given) collects the run's fault ledger.
 
     With ``store`` set (see :class:`~repro.store.StoreConfig`), files
     with fresh store entries are materialized from mmap instead of text —
@@ -832,81 +820,20 @@ def read_dataset_dir_chunked(
     """
     import os
 
-    from .runner import parallel_map, resilient_map
-    from .units import file_cost, plan_units
+    from .runner import _fold_units
 
-    on_error = validate_on_error(on_error)
-    plan = (
-        QueryPlan(predicate=predicate)
-        if predicate is not None and not predicate.is_null()
-        else None
+    merged, _, _ = _fold_units(
+        list_trace_files(directory),
+        [_ColumnCollector()],
+        errors if errors is not None else RunErrors(policy=on_error),
+        fmt=fmt, chunk_size=chunk_size, workers=workers, progress=progress,
+        on_error=on_error, retry=retry, unit_timeout=unit_timeout, store=store,
+        predicate=predicate, split_rows=split_rows, backend=backend,
     )
-    files = list_trace_files(directory)
-    units: List[Any] = list(files)
-    if split_rows > 0:
-        units, priorities = plan_units(
-            files, fmt=fmt, chunk_size=chunk_size, split_rows=split_rows,
-            store=store, on_error=on_error,
-        )
-    else:
-        priorities = [file_cost(f) for f in files]
-    run_errors = errors if errors is not None else RunErrors(policy=on_error)
-    if on_error == ON_ERROR_STRICT:
-        pairs: List[Optional[Tuple[Dict[str, _VolumeColumns], Optional[ParseErrors]]]] = list(
-            parallel_map(
-                _read_file_columns,
-                units,
-                workers,
-                progress=progress,
-                retry=retry,
-                unit_timeout=unit_timeout,
-                backend=backend,
-                priorities=priorities,
-                fmt=fmt,
-                chunk_size=chunk_size,
-                on_error=on_error,
-                store=store,
-                plan=plan,
-            )
-        )
-    else:
-        pairs, run_errors = resilient_map(
-            _read_file_columns,
-            units,
-            workers,
-            progress=progress,
-            retry=retry,
-            unit_timeout=unit_timeout,
-            errors=run_errors,
-            backend=backend,
-            priorities=priorities,
-            fmt=fmt,
-            chunk_size=chunk_size,
-            on_error=on_error,
-            store=store,
-            plan=plan,
-        )
-
-    merged: Dict[str, _VolumeColumns] = {}
-    for pair in pairs:
-        if pair is None:
-            continue
-        acc, parse_errors = pair
-        if parse_errors is not None:
-            run_errors.absorb_parse(parse_errors)
-        for vid, cols in acc.items():
-            into = merged.get(vid)
-            if into is None:
-                merged[vid] = cols
-            else:
-                into.timestamps.extend(cols.timestamps)
-                into.offsets.extend(cols.offsets)
-                into.sizes.extend(cols.sizes)
-                into.is_write.extend(cols.is_write)
-                into.response_times.extend(cols.response_times)
-
     dataset = TraceDataset(name or os.path.basename(os.path.normpath(directory)))
-    for vid, cols in merged.items():
+    # Insertion (first-appearance) order, not sorted: volume order reaches
+    # the analyze JSON and the float sums in findings.
+    for vid, cols in merged[0].items():
         with_rt = bool(cols.response_times)
         dataset.add(
             VolumeTrace(

@@ -416,10 +416,7 @@ def _fold_file(
     store-integrity events (corruption, quarantine, self-heal) ship back.
     """
     verifying = store is not None and store.verify
-    if on_error == ON_ERROR_STRICT and not verifying:
-        chunks = unit_chunks(unit, fmt=fmt, chunk_size=chunk_size, store=store, plan=plan)
-        return _fold_chunks(analyzers, chunks, plan), None
-    parse_errors = ParseErrors()
+    parse_errors = ParseErrors() if (on_error != ON_ERROR_STRICT or verifying) else None
     states = _fold_chunks(
         analyzers,
         unit_chunks(
@@ -428,8 +425,9 @@ def _fold_file(
         ),
         plan,
     )
-    dirty = parse_errors.dropped or parse_errors.store_events
-    return states, parse_errors if dirty else None
+    if parse_errors is not None and not (parse_errors.dropped or parse_errors.store_events):
+        parse_errors = None
+    return states, parse_errors
 
 
 def _planned_trace_chunks(
@@ -497,6 +495,82 @@ def _finalize(
     )
 
 
+def _fold_units(
+    paths: Sequence[str],
+    analyzers: Sequence[Analyzer],
+    errors: RunErrors,
+    fmt: str = "alicloud",
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    workers: int = 1,
+    progress: Optional[Callable[[int, int], None]] = None,
+    on_error: str = ON_ERROR_STRICT,
+    retry: Optional[RetryPolicy] = None,
+    unit_timeout: Optional[float] = None,
+    store: Optional["StoreConfig"] = None,
+    predicate: Optional[RowPredicate] = None,
+    checkpoint: Optional[CheckpointConfig] = None,
+    split_rows: int = 0,
+    backend: BackendSpec = None,
+) -> Tuple[_StateMap, int, Optional[Checkpointer]]:
+    """The one file driver: plan units, fold each, merge in canonical order.
+
+    Shared by :func:`run_files` and
+    :func:`~repro.engine.chunks.read_dataset_dir_chunked` (which folds a
+    column-collecting analyzer).  Returns the merged states — per
+    analyzer, volumes in first-appearance order over canonical (file,
+    range) unit order — the unit count, and the run's checkpointer (None
+    without ``checkpoint``).  Unit failures, retries and dropped lines
+    land in ``errors``.
+    """
+    on_error = validate_on_error(on_error)
+    paths = list(paths)
+    plan = plan_for(analyzers, predicate)
+    units: List[Union[str, WorkUnit]]
+    if split_rows > 0:
+        units, priorities = plan_units(
+            paths, fmt=fmt, chunk_size=chunk_size, split_rows=split_rows,
+            store=store, on_error=on_error,
+        )
+    else:
+        units = list(paths)
+        priorities = [file_cost(p) for p in paths]
+    checkpointer = (
+        Checkpointer(checkpoint, [checkpoint_key(u) for u in units])
+        if checkpoint is not None
+        else None
+    )
+    pairs = _map_core(
+        _fold_file,
+        units,
+        workers,
+        progress,
+        retry,
+        unit_timeout,
+        on_error == ON_ERROR_STRICT,
+        errors,
+        {
+            "analyzers": list(analyzers),
+            "fmt": fmt,
+            "chunk_size": chunk_size,
+            "on_error": on_error,
+            "store": store,
+            "plan": plan,
+        },
+        checkpoint=checkpointer,
+        backend=backend,
+        priorities=priorities,
+    )
+    state_parts: List[_StateMap] = []
+    for pair in pairs:
+        if pair is None:
+            continue
+        states, parse_errors = pair
+        if parse_errors is not None:
+            errors.absorb_parse(parse_errors)
+        state_parts.append(states)
+    return _merge_states(analyzers, state_parts), len(units), checkpointer
+
+
 def run_files(
     paths: Sequence[str],
     analyzers: Sequence[Analyzer],
@@ -561,56 +635,15 @@ def run_files(
     The checkpoint directory is cleared on full success and kept while
     any unit failed permanently, so a later resume can retry it.
     """
-    on_error = validate_on_error(on_error)
-    paths = list(paths)
-    plan = plan_for(analyzers, predicate)
     errors = RunErrors(policy=on_error)
-    units: List[Union[str, WorkUnit]]
-    if split_rows > 0:
-        units, priorities = plan_units(
-            paths, fmt=fmt, chunk_size=chunk_size, split_rows=split_rows,
-            store=store, on_error=on_error,
-        )
-    else:
-        units = list(paths)
-        priorities = [file_cost(p) for p in paths]
-    checkpointer = (
-        Checkpointer(checkpoint, [checkpoint_key(u) for u in units])
-        if checkpoint is not None
-        else None
+    merged, n_units, checkpointer = _fold_units(
+        paths, analyzers, errors, fmt=fmt, chunk_size=chunk_size, workers=workers,
+        progress=progress, on_error=on_error, retry=retry, unit_timeout=unit_timeout,
+        store=store, predicate=predicate, checkpoint=checkpoint,
+        split_rows=split_rows, backend=backend,
     )
-    pairs = _map_core(
-        _fold_file,
-        units,
-        workers,
-        progress,
-        retry,
-        unit_timeout,
-        on_error == ON_ERROR_STRICT,
-        errors,
-        {
-            "analyzers": list(analyzers),
-            "fmt": fmt,
-            "chunk_size": chunk_size,
-            "on_error": on_error,
-            "store": store,
-            "plan": plan,
-        },
-        checkpoint=checkpointer,
-        backend=backend,
-        priorities=priorities,
-    )
-    state_parts: List[_StateMap] = []
-    for pair in pairs:
-        if pair is None:
-            continue
-        states, parse_errors = pair
-        if parse_errors is not None:
-            errors.absorb_parse(parse_errors)
-        state_parts.append(states)
-    merged = _merge_states(analyzers, state_parts)
-    result = _finalize(analyzers, merged, len(units), workers, chunk_size, errors)
-    if checkpointer is not None and not result.errors.failed_units:
+    result = _finalize(analyzers, merged, n_units, workers, chunk_size, errors)
+    if checkpointer is not None and not errors.failed_units:
         checkpointer.clear()
     return result
 

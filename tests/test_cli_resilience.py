@@ -71,6 +71,28 @@ class TestChaosDrill:
             faults._reset_for_tests()
         assert outputs["1"] == outputs["2"]
 
+    @pytest.mark.parametrize("command", ["stream-analyze", "analyze"])
+    def test_strict_retry_lands_in_fault_ledger(self, tmp_path, capsys, command):
+        # Both commands read through the same driver, so a retried unit is
+        # accounted in the run's fault ledger under strict as well.
+        fleet = tmp_path / "fleet"
+        assert main([
+            "generate", str(fleet), "--volumes", "2", "--days", "1", "--day-seconds", "20",
+        ]) == 0
+        plan = tmp_path / "plan.json"
+        faults.save_plan(faults.FaultPlan(crash_units=(0,), crash_attempts=1), str(plan))
+        errors_path = tmp_path / "errors.json"
+        rc = main([
+            command, str(fleet), "--max-retries", "1", "--faults", str(plan),
+            "--errors-out", str(errors_path), "--output", str(tmp_path / "out.json"),
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        report = json.loads(errors_path.read_text())
+        assert report["policy"] == "strict"
+        assert report["retries"] >= 1
+        assert report["failed_units"] == []
+
     def test_strict_default_aborts_on_malformed(self, dirty_fleet, tmp_path):
         with pytest.raises(TraceFormatError):
             main([

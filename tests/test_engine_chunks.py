@@ -218,7 +218,7 @@ class TestReadDatasetDirChunked:
             fleet_dir, fmt="alicloud", chunk_size=97, workers=workers
         )
         assert chunked.name == legacy.name
-        assert sorted(chunked.volume_ids()) == sorted(legacy.volume_ids())
+        assert chunked.volume_ids() == legacy.volume_ids()
         for vid, trace in legacy.items():
             got = chunked[vid]
             assert got.timestamps.tolist() == trace.timestamps.tolist()

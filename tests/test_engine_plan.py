@@ -446,25 +446,48 @@ class TestEmptyFinalize:
 
 class TestCliFilterFlags:
     def test_analyze_flags_parse(self):
-        from repro.cli import _row_predicate, build_parser
+        from repro.cli import _engine_kwargs, build_parser
 
         args = build_parser().parse_args(
             ["analyze", "d", "--since", "5", "--until", "9.5", "--volumes", "a, b,,c"]
         )
-        pred = _row_predicate(args)
+        pred = _engine_kwargs(args)["predicate"]
         assert pred == RowPredicate(since=5.0, until=9.5, volumes=("a", "b", "c"))
 
     def test_findings_keeps_volume_count_flag(self):
-        from repro.cli import _row_predicate, build_parser
+        from repro.cli import _engine_kwargs, build_parser
 
         args = build_parser().parse_args(
             ["findings", "--volumes", "60", "--only-volumes", "x,y", "--since", "2"]
         )
         assert args.volumes == 60
-        assert _row_predicate(args) == RowPredicate(since=2.0, volumes=("x", "y"))
+        assert _engine_kwargs(args)["predicate"] == RowPredicate(since=2.0, volumes=("x", "y"))
 
     def test_no_flags_means_no_predicate(self):
-        from repro.cli import _row_predicate, build_parser
+        from repro.cli import _engine_kwargs, build_parser
 
         args = build_parser().parse_args(["analyze", "d"])
-        assert _row_predicate(args) is None
+        assert _engine_kwargs(args)["predicate"] is None
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["analyze", "d", "--volumes", ","], "--volumes"),
+            (["analyze", "d", "--volumes", " , "], "--volumes"),
+            (["stream-analyze", "d", "--volumes", ""], "--volumes"),
+            (["findings", "--ali-dir", "a", "--msrc-dir", "m", "--only-volumes", ","],
+             "--only-volumes"),
+            (["analyze", "d", "--since", "nan"], "--since"),
+            (["report", "d", "--until", "inf"], "--until"),
+            (["analyze", "d", "--since", "-inf"], "--since"),
+            (["analyze", "d", "--since", "10", "--until", "5"], "--since"),
+            (["findings", "--since", "3", "--until", "3"], "--since"),
+        ],
+    )
+    def test_degenerate_filter_flags_rejected(self, argv, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err

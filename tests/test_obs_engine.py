@@ -103,18 +103,26 @@ class TestCliMetrics:
         second = self._analyze_counters(fleet_dir, tmp_path, 1)
         assert first["counters"] == second["counters"]  # no cross-run bleed
 
-    def test_stream_analyze_metrics_out(self, fleet_dir, tmp_path):
+    @pytest.mark.parametrize(
+        "command, analyzer",
+        [("stream-analyze", "streaming_profile"), ("analyze", "columns")],
+        ids=["stream-analyze", "analyze"],
+    )
+    def test_stream_analyze_metrics_out(self, fleet_dir, tmp_path, command, analyzer):
+        # Both commands fold through the same driver: a cold run counts
+        # every parsed line as an engine request.
         mpath = tmp_path / "stream.json"
         rc = main(
             [
-                "stream-analyze", fleet_dir, "--chunk-size", "256",
+                command, fleet_dir, "--chunk-size", "256",
                 "--output", str(tmp_path / "s.json"), "--metrics-out", str(mpath),
             ]
         )
         assert rc == 0
         report = json.loads(mpath.read_text())
         assert report["counters"]["engine.requests"] == report["counters"]["parse.lines"]
-        assert "span.consume.streaming_profile.seconds" in report["histograms"]
+        assert f"span.consume.{analyzer}.seconds" in report["histograms"]
+        assert "engine.merge_seconds" in report["gauges"]
 
     def test_progress_flag_logs_units(self, fleet_dir, tmp_path, capsys):
         rc = main(

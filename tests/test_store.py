@@ -413,19 +413,23 @@ class TestCLI:
         assert os.path.basename(victim) in out
 
     def test_no_store_flag_wins(self, ali_dir, tmp_path):
-        from repro.cli import _store_config, build_parser
+        from repro.cli import _engine_kwargs, build_parser
 
-        args = build_parser().parse_args(
-            ["analyze", ali_dir, "--no-store", "--store-dir", str(tmp_path / "s")]
-        )
-        assert _store_config(args) is None
-        args = build_parser().parse_args(["analyze", ali_dir, "--store-dir", str(tmp_path / "s")])
-        config = _store_config(args)
-        assert config is not None and config.dir == str(tmp_path / "s")
-        args = build_parser().parse_args(["analyze", ali_dir, "--store"])
-        config = _store_config(args)
-        assert config is not None and config.dir is None
-        assert _store_config(build_parser().parse_args(["analyze", ali_dir])) is None
+        def store_config(argv, build=True):
+            return _engine_kwargs(build_parser().parse_args(argv), build=build)["store"]
+
+        store_dir = str(tmp_path / "s")
+        assert store_config(["analyze", ali_dir, "--no-store", "--store-dir", store_dir]) is None
+        config = store_config(["analyze", ali_dir, "--store-dir", store_dir])
+        assert config is not None and config.dir == store_dir
+        config = store_config(["analyze", ali_dir, "--store"])
+        assert config is not None and config.dir is None and config.build
+        assert store_config(["analyze", ali_dir]) is None
+        config = store_config(["analyze", ali_dir, "--verify-store"])
+        assert config is not None and config.verify and config.dir is None
+        assert store_config(["analyze", ali_dir, "--no-store", "--verify-store"]) is None
+        config = store_config(["validate", ali_dir, "--store"], build=False)
+        assert config is not None and not config.build
 
     def test_store_and_no_store_conflict(self, ali_dir):
         with pytest.raises(SystemExit):

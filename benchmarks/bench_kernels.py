@@ -3,20 +3,30 @@
 Unlike the table/figure benches (which run once and assert shape), these
 measure the throughput of the hot computational kernels the whole
 pipeline rests on, with pytest-benchmark's normal statistical repetition.
-They guard against performance regressions in:
+Each lane names the repository-benchmark layer (``benchmarks/suite``,
+traced pass) its kernel feeds; a kernel win counts once it shows there:
 
-* request-to-block expansion (feeds every block-level metric),
-* randomness-ratio computation (32-lag sliding-window minimum),
-* exact reuse distances (Fenwick-tree Mattson algorithm),
-* same-block transition classification (RAW/WAW/RAR/WAR),
-* LRU simulation (pure-Python inner loop),
-* HyperLogLog bulk insertion.
+* request-to-block expansion -> ``trace.blocks.expand_to_blocks``,
+* randomness-ratio computation (32-lag sliding-window minimum) ->
+  ``core.compute_profile`` and ``core.findings.evaluate_findings``,
+* exact reuse distances (merge-sort inversion count) and LRU miss ratios
+  from them -> ``core.cache_analysis.volume_miss_ratios`` and
+  ``core.cache_analysis.dataset_miss_ratios``,
+* same-block transition classification (RAW/WAW/RAR/WAR) ->
+  ``core.temporal.adjacent_access_times``,
+* LRU replay simulation (pure-Python inner loop) -> the non-LRU replay
+  path of ``volume_miss_ratios``; no suite layer times it,
+* HyperLogLog bulk insertion -> the ``spatial`` engine fold; no suite
+  layer times it.
+
+Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py``;
+add ``--benchmark-disable`` to run each lane once as a correctness smoke.
 """
 
 import numpy as np
 import pytest
 
-from repro.cache import LRUCache, reuse_distances, simulate_stream
+from repro.cache import LRUCache, reuse_distances, simulate_lru, simulate_stream
 from repro.core import adjacent_access_times, randomness_ratio
 from repro.stats import HyperLogLog
 from repro.trace import VolumeTrace
@@ -67,6 +77,20 @@ def test_kernel_lru_simulation(benchmark):
 
     result = benchmark(run)
     assert result.n_accesses == 100_000
+
+
+def test_kernel_lru_miss_ratios(benchmark):
+    rng = np.random.default_rng(8)
+    blocks = rng.integers(0, 5000, 100_000)
+    is_write = rng.random(100_000) < 0.5
+    capacities = (50, 500)
+
+    def run():
+        distances = reuse_distances(blocks)
+        return [simulate_lru(distances, is_write, c) for c in capacities]
+
+    results = benchmark(run)
+    assert results == [simulate_stream(blocks, is_write, LRUCache(c)) for c in capacities]
 
 
 def test_kernel_hll_bulk_insert(benchmark):

@@ -10,7 +10,7 @@ from .lru import LRUCache
 from .mrc import MissRatioCurve, mrc_from_distances, mrc_from_stream
 from .reuse import INFINITE_DISTANCE, reuse_distances
 from .shards import shards_mrc, shards_sample_mask
-from .simulator import CacheSimResult, simulate_stream, simulate_trace
+from .simulator import CacheSimResult, simulate_lru, simulate_stream, simulate_trace
 from .twoq import TwoQCache
 from .writeback import WriteBackCache, WriteBackStats, simulate_writeback
 
@@ -32,6 +32,7 @@ __all__ = [
     "CacheSimResult",
     "simulate_trace",
     "simulate_stream",
+    "simulate_lru",
     "reuse_distances",
     "INFINITE_DISTANCE",
     "MissRatioCurve",

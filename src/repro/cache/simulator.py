@@ -3,7 +3,9 @@
 Drives a volume's block-level access stream through a
 :class:`~repro.cache.base.CachePolicy` and accounts hits and misses
 separately for reads and writes, matching the paper's Finding 15 setup
-(unified read+write cache, per-op miss ratios).
+(unified read+write cache, per-op miss ratios).  For LRU the same
+accounting follows from precomputed reuse distances without a replay
+(:func:`simulate_lru`).
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from ..trace.blocks import block_events
 from ..trace.dataset import VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
 from .base import CachePolicy
+from .lru import LRUCache
+from .reuse import INFINITE_DISTANCE
 
-__all__ = ["CacheSimResult", "simulate_trace", "simulate_stream"]
+__all__ = ["CacheSimResult", "simulate_trace", "simulate_stream", "simulate_lru"]
 
 
 @dataclass(frozen=True)
@@ -90,15 +94,7 @@ def simulate_stream(
                     read_hits += 1
                 else:
                     read_misses += 1
-    reg = metrics.get_registry()
-    misses = read_misses + write_misses
-    reg.counter("cache.accesses").inc(len(blocks))
-    reg.counter("cache.hits").inc(read_hits + write_hits)
-    reg.counter("cache.misses").inc(misses)
-    reg.counter("cache.evictions").inc(
-        max(0, misses - (len(policy) - resident_before))
-    )
-    return CacheSimResult(
+    result = CacheSimResult(
         policy=policy.name,
         capacity_blocks=policy.capacity,
         read_hits=read_hits,
@@ -106,6 +102,51 @@ def simulate_stream(
         write_hits=write_hits,
         write_misses=write_misses,
     )
+    _count(result, len(policy) - resident_before)
+    return result
+
+
+def simulate_lru(
+    distances: np.ndarray, is_write: np.ndarray, capacity: int
+) -> CacheSimResult:
+    """LRU accounting of a stream from its reuse distances.
+
+    ``distances`` is :func:`~repro.cache.reuse.reuse_distances` of the
+    block stream; an access hits a cold LRU cache of ``capacity`` blocks
+    exactly when its distance is in ``[0, capacity)``.  Result and
+    ``cache.*`` counters equal ``simulate_stream(blocks, is_write,
+    LRUCache(capacity))``.
+    """
+    if capacity <= 0:
+        raise ValueError(f"capacity must be positive, got {capacity}")
+    is_write = np.asarray(is_write, dtype=bool)
+    with span("cache_simulate"):
+        hit = (distances >= 0) & (distances < capacity)
+        n_writes = int(np.count_nonzero(is_write))
+        write_hits = int(np.count_nonzero(hit & is_write))
+        read_hits = int(np.count_nonzero(hit)) - write_hits
+        distinct = int(np.count_nonzero(distances == INFINITE_DISTANCE))
+    result = CacheSimResult(
+        policy=LRUCache.name,
+        capacity_blocks=capacity,
+        read_hits=read_hits,
+        read_misses=len(distances) - n_writes - read_hits,
+        write_hits=write_hits,
+        write_misses=n_writes - write_hits,
+    )
+    _count(result, min(capacity, distinct))
+    return result
+
+
+def _count(result: CacheSimResult, growth: int) -> None:
+    """Add a run's totals to the ``cache.*`` counters; evictions are the
+    misses that did not grow the cache."""
+    reg = metrics.get_registry()
+    misses = result.read_misses + result.write_misses
+    reg.counter("cache.accesses").inc(result.n_accesses)
+    reg.counter("cache.hits").inc(result.read_hits + result.write_hits)
+    reg.counter("cache.misses").inc(misses)
+    reg.counter("cache.evictions").inc(max(0, misses - growth))
 
 
 def simulate_trace(

@@ -1,7 +1,9 @@
 """LRU caching analysis (paper Finding 15).
 
 For each volume, simulate a unified read+write LRU cache sized to a
-fraction of the volume's working set and report per-op miss ratios.
+fraction of the volume's working set and report per-op miss ratios.  LRU
+results at every size come from one reuse-distance pass per volume; other
+policies replay the stream once per size.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import numpy as np
 
 from ..cache.base import CachePolicy
 from ..cache.lru import LRUCache
-from ..cache.simulator import CacheSimResult, simulate_stream
+from ..cache.reuse import INFINITE_DISTANCE, reuse_distances
+from ..cache.simulator import CacheSimResult, simulate_lru, simulate_stream
 from ..trace.blocks import block_events
 from ..trace.dataset import TraceDataset, VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
@@ -57,10 +60,16 @@ def volume_miss_ratios(
     """Simulate caches sized to fractions of the volume's WSS.
 
     The block-event expansion is shared across cache sizes; capacity is
-    ``max(1, round(fraction * WSS_blocks))``.
+    ``max(1, round(fraction * WSS_blocks))``.  For :class:`LRUCache` the
+    reuse distances are shared too, and the WSS is their first-touch count.
     """
     ev = block_events(trace, block_size)
-    wss_blocks = len(np.unique(ev.block_id)) if len(ev) else 0
+    lru = policy_factory is LRUCache
+    if lru:
+        distances = reuse_distances(ev.block_id)
+        wss_blocks = int(np.count_nonzero(distances == INFINITE_DISTANCE))
+    else:
+        wss_blocks = len(np.unique(ev.block_id)) if len(ev) else 0
     out: List[VolumeCacheResult] = []
     for frac in cache_fractions:
         if not 0 < frac <= 1:
@@ -68,7 +77,10 @@ def volume_miss_ratios(
         if wss_blocks == 0:
             continue
         capacity = max(1, int(round(frac * wss_blocks)))
-        result = simulate_stream(ev.block_id, ev.is_write, policy_factory(capacity))
+        if lru:
+            result = simulate_lru(distances, ev.is_write, capacity)
+        else:
+            result = simulate_stream(ev.block_id, ev.is_write, policy_factory(capacity))
         out.append(
             VolumeCacheResult(
                 volume_id=trace.volume_id,

@@ -10,10 +10,11 @@ depend on the production environment.  ``evaluate_findings`` returns one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
+from ..trace.blocks import block_traffic
 from ..trace.dataset import TraceDataset
 from .cache_analysis import dataset_miss_ratios
 from .load_intensity import (
@@ -25,12 +26,12 @@ from .load_intensity import (
     overall_intensity,
 )
 from .spatial import (
+    _topk_fraction,
     dataset_mostly_traffic,
     randomness_ratio,
-    topk_block_traffic_fraction,
     update_coverage,
 )
-from .temporal import adjacent_access_counts, dataset_adjacent_access_times
+from .temporal import dataset_adjacent_access_times
 
 __all__ = ["Finding", "evaluate_findings", "FINDING_TITLES"]
 
@@ -216,13 +217,18 @@ def evaluate_findings(
 
     # Finding 9: top-10% blocks absorb far more than 10% of traffic for the
     # median volume, and write aggregation beats read aggregation.
-    def top10(dataset: TraceDataset, op: str) -> np.ndarray:
-        return _finite(
-            [topk_block_traffic_fraction(v, 0.10, op, block_size) for v in dataset.volumes() if len(v)]
-        )
+    def top10(dataset: TraceDataset) -> Tuple[np.ndarray, np.ndarray]:
+        read: List[float] = []
+        write: List[float] = []
+        for v in dataset.volumes():
+            if len(v):
+                _, read_bytes, write_bytes = block_traffic(v, block_size)
+                read.append(_topk_fraction(read_bytes, 0.10))
+                write.append(_topk_fraction(write_bytes, 0.10))
+        return _finite(read), _finite(write)
 
-    r10_a, w10_a = top10(ali, "read"), top10(ali, "write")
-    r10_m, w10_m = top10(msrc, "read"), top10(msrc, "write")
+    r10_a, w10_a = top10(ali)
+    r10_m, w10_m = top10(msrc)
     f9 = (
         float(np.median(w10_a)) > 0.15
         and float(np.median(w10_m)) > 0.15
@@ -278,8 +284,7 @@ def evaluate_findings(
     # --- Temporal patterns ----------------------------------------------------
     at_a = dataset_adjacent_access_times(ali, block_size)
     at_m = dataset_adjacent_access_times(msrc, block_size)
-    counts_a = adjacent_access_counts(ali, block_size)
-    counts_m = adjacent_access_counts(msrc, block_size)
+    counts_a, counts_m = at_a.counts(), at_m.counts()
 
     def med(arr: np.ndarray) -> float:
         return float(np.median(arr)) if len(arr) else float("nan")

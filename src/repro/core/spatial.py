@@ -95,8 +95,13 @@ def topk_block_traffic_fraction(
         raise ValueError("top_fraction must be in (0, 1]")
     if op not in ("read", "write"):
         raise ValueError(f"op must be 'read' or 'write', got {op!r}")
-    blocks, read_bytes, write_bytes = block_traffic(trace, block_size)
-    traffic = read_bytes if op == "read" else write_bytes
+    _, read_bytes, write_bytes = block_traffic(trace, block_size)
+    return _topk_fraction(read_bytes if op == "read" else write_bytes, top_fraction)
+
+
+def _topk_fraction(traffic: np.ndarray, top_fraction: float) -> float:
+    """Share of the total in the top ``top_fraction`` of the nonzero
+    per-block ``traffic``; NaN when there is none."""
     traffic = traffic[traffic > 0]
     if len(traffic) == 0:
         return float("nan")

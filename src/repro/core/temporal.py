@@ -121,11 +121,7 @@ def adjacent_access_counts(
     dataset: TraceDataset, block_size: int = DEFAULT_BLOCK_SIZE
 ) -> Dict[str, int]:
     """Fleet-level RAW/WAW/RAR/WAR counts (paper Table V)."""
-    totals = {"RAW": 0, "WAW": 0, "RAR": 0, "WAR": 0}
-    for trace in dataset.volumes():
-        for name, count in adjacent_access_times(trace, block_size).counts().items():
-            totals[name] += count
-    return totals
+    return dataset_adjacent_access_times(dataset, block_size).counts()
 
 
 def update_intervals(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:

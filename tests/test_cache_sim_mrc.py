@@ -1,5 +1,7 @@
 """Tests for cache simulation, reuse distances, MRC, and SHARDS."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,19 @@ from repro.cache import (
 )
 
 from conftest import make_trace
+
+#: Lengths 2^k - 1, 2^k and 2^k + 1 around the brute-force tile (16) and
+#: every merge level up to 2048.
+BOUNDARY_LENGTHS = sorted({2**k + d for k in range(1, 12) for d in (-1, 0, 1)})
+
+
+def _naive_distances(stream):
+    """Reuse distances by definition: distinct ids since the last access."""
+    last, out = {}, []
+    for i, b in enumerate(stream):
+        out.append(len(set(stream[last[b] + 1 : i])) if b in last else INFINITE_DISTANCE)
+        last[b] = i
+    return out
 
 
 class TestReuseDistances:
@@ -49,17 +64,58 @@ class TestReuseDistances:
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=300))
     @settings(max_examples=60, deadline=None)
     def test_property_matches_naive(self, stream):
-        """Fenwick-tree result equals the obvious O(n^2) computation."""
-        arr = np.asarray(stream)
-        fast = reuse_distances(arr)
-        last = {}
-        for i, b in enumerate(stream):
-            if b in last:
-                expected = len(set(stream[last[b] + 1 : i]))
-                assert fast[i] == expected
-            else:
-                assert fast[i] == INFINITE_DISTANCE
-            last[b] = i
+        """The merge-sort kernel equals the obvious O(n^2) computation."""
+        assert reuse_distances(np.asarray(stream)).tolist() == _naive_distances(stream)
+
+    @given(
+        n=st.one_of(st.integers(0, 2000), st.sampled_from(BOUNDARY_LENGTHS)),
+        distinct=st.sampled_from([1, 2, 17, 300, 5000]),
+        extreme_ids=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_long_streams_match_naive(self, n, distinct, extreme_ids, seed):
+        """Lengths past every tile and merge level, negative ids and ids
+        near +/-2^62."""
+        rng = np.random.default_rng(seed)
+        if extreme_ids:
+            ids = rng.integers(-(2**62), 2**62, size=distinct)
+            edges = [-(2**62), 2**62 - 1, -1, 0][:distinct]
+            ids[: len(edges)] = edges
+        else:
+            ids = np.arange(distinct) - distinct // 2
+        stream = ids[rng.integers(0, distinct, size=n)]
+        assert reuse_distances(stream).tolist() == _naive_distances(stream.tolist())
+
+    @pytest.mark.parametrize("m", BOUNDARY_LENGTHS)
+    def test_reaccess_count_at_boundaries(self, m):
+        """The merge runs over the re-accesses alone: put exactly ``m`` of
+        them after 40 first touches."""
+        rng = np.random.default_rng(m)
+        stream = np.concatenate([np.arange(40), rng.integers(0, 40, size=m)])
+        assert reuse_distances(stream).tolist() == _naive_distances(stream.tolist())
+
+    @pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
+    def test_all_equal_stream(self, n):
+        assert reuse_distances(np.full(n, -7)).tolist() == [INFINITE_DISTANCE] + [0] * (n - 1)
+
+    @pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
+    def test_all_distinct_stream(self, n):
+        stream = np.arange(n)[::-1] * (2**40) - 2**61
+        assert reuse_distances(stream).tolist() == [INFINITE_DISTANCE] * n
+
+    def test_peak_memory_per_access(self):
+        """Working memory stays linear with a small constant: at most 96
+        bytes per access on a reuse-heavy stream."""
+        n = 2**18 + 1
+        stream = np.random.default_rng(5).integers(0, 3000, size=n)
+        tracemalloc.start()
+        try:
+            reuse_distances(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 96
 
 
 class TestSimulator:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cache import FIFOCache
+from repro.cache import FIFOCache, LRUCache, simulate_stream
 from repro.core import (
     dataset_miss_ratios,
     format_boxplot_rows,
@@ -13,8 +13,10 @@ from repro.core import (
     format_table,
     volume_miss_ratios,
 )
+from repro.obs import collecting, traced
 from repro.stats import EmpiricalCDF
 from repro.trace import TraceDataset, VolumeTrace
+from repro.trace.blocks import block_events
 
 from conftest import make_trace
 
@@ -76,6 +78,51 @@ class TestVolumeMissRatios:
         )
         res = volume_miss_ratios(tr, (1.0,), policy_factory=FIFOCache)
         assert res[0].result.policy == "fifo"
+
+
+def _random_trace(seed: int, n_requests: int, span_blocks: int) -> VolumeTrace:
+    """Unaligned multi-block requests over ``span_blocks`` blocks, mixed ops."""
+    rng = np.random.default_rng(seed)
+    return VolumeTrace(
+        f"rnd{seed}",
+        np.sort(rng.random(n_requests) * 100),
+        rng.integers(0, span_blocks * BS, size=n_requests),
+        rng.choice([512, 4096, 8192, 12288, 65536], size=n_requests),
+        rng.random(n_requests) < 0.6,
+        presorted=True,
+    )
+
+
+class TestLRUFromReuseDistances:
+    """The default (LRU) path counts hits from reuse distances instead of
+    replaying the stream; it must agree with the replay in every number."""
+
+    FRACTIONS = (0.01, 0.1, 1.0)
+
+    @pytest.mark.parametrize(
+        "seed,n_requests,span_blocks", [(0, 300, 40), (1, 2000, 120), (2, 3000, 900), (3, 1, 1)]
+    )
+    @pytest.mark.parametrize("policy", [LRUCache, FIFOCache])
+    def test_matches_replay(self, seed, n_requests, span_blocks, policy):
+        tr = _random_trace(seed, n_requests, span_blocks)
+        with collecting() as fast_reg, traced():
+            results = volume_miss_ratios(tr, self.FRACTIONS, policy_factory=policy)
+        ev = block_events(tr, BS)
+        with collecting() as replay_reg, traced():
+            replayed = [
+                simulate_stream(ev.block_id, ev.is_write, policy(r.capacity_blocks))
+                for r in results
+            ]
+        assert [r.result for r in results] == replayed
+        fast, slow = fast_reg.snapshot(), replay_reg.snapshot()
+        assert fast["counters"] == slow["counters"]
+        spans = "span.cache_simulate.seconds"
+        assert fast["histograms"][spans]["count"] == slow["histograms"][spans]["count"]
+
+    def test_covers_capacity_one(self):
+        results = volume_miss_ratios(_random_trace(0, 300, 40), self.FRACTIONS)
+        caps = [r.capacity_blocks for r in results]
+        assert caps[0] == 1 and caps[-1] > caps[0]
 
 
 class TestDatasetMissRatios:

@@ -16,8 +16,12 @@ traced pass) its kernel feeds; a kernel win counts once it shows there:
   ``core.temporal.adjacent_access_times``,
 * LRU replay simulation (pure-Python inner loop) -> the non-LRU replay
   path of ``volume_miss_ratios``; no suite layer times it,
-* HyperLogLog bulk insertion -> the ``spatial`` engine fold; no suite
-  layer times it.
+* HyperLogLog bulk insertion -> the working-set sketches of the
+  ``spatial`` and ``streaming_profile`` engine folds, timed by
+  ``engine.analyzers.streaming_profile.consume``,
+* byte-level text parsing of AliCloud and MSRC trace files ->
+  ``engine.chunks.parse`` (each lane checks its columns against the row
+  readers).
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py``;
 add ``--benchmark-disable`` to run each lane once as a correctness smoke.
@@ -28,11 +32,14 @@ import pytest
 
 from repro.cache import LRUCache, reuse_distances, simulate_lru, simulate_stream
 from repro.core import adjacent_access_times, randomness_ratio
+from repro.engine import iter_chunks
 from repro.stats import HyperLogLog
 from repro.trace import VolumeTrace
 from repro.trace.blocks import expand_to_blocks
+from repro.trace.reader import iter_alicloud_requests, iter_msrc_requests
 
 N_REQUESTS = 200_000
+N_PARSE_ROWS = 50_000
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +111,45 @@ def test_kernel_hll_bulk_insert(benchmark):
 
     hll = benchmark(run)
     assert len(hll) > 0
+
+
+def _parse_lane(benchmark, path, fmt, read_rows):
+    chunks = benchmark(lambda: list(iter_chunks(str(path), fmt)))
+    got = {}
+    for chunk in chunks:
+        cols = got.setdefault(chunk.volume_id, ([], [], [], [], []))
+        for col, values in zip(cols, (chunk.timestamps, chunk.offsets, chunk.sizes,
+                                       chunk.is_write, chunk.response_times)):
+            col.extend([] if values is None else values.tolist())
+    want = {}
+    for r in read_rows(str(path)):
+        cols = want.setdefault(r.volume, ([], [], [], [], []))
+        for col, value in zip(cols, (r.timestamp, r.offset, r.size, r.is_write,
+                                     r.response_time)):
+            if value is not None:
+                col.append(value)
+    assert got == want
+
+
+def test_kernel_parse_alicloud(benchmark, tmp_path):
+    rng = np.random.default_rng(10)
+    n = N_PARSE_ROWS
+    columns = (rng.integers(0, 20, n), rng.choice(["R", "W"], n),
+               rng.integers(0, 1 << 28, n) * 512, rng.choice([4096, 8192, 65536], n),
+               np.sort(rng.integers(1_500_000_000_000_000, 1_600_000_000_000_000, n)))
+    path = tmp_path / "ali.csv"
+    path.write_text("".join(f"v{v},{o},{off},{sz},{ts}\n" for v, o, off, sz, ts in zip(*columns)))
+    _parse_lane(benchmark, path, "alicloud", iter_alicloud_requests)
+
+
+def test_kernel_parse_msrc(benchmark, tmp_path):
+    rng = np.random.default_rng(11)
+    n = N_PARSE_ROWS
+    # Filetimes below 2**53 divide exactly on both paths.
+    columns = (np.sort(rng.integers(8_000_000_000_000_000, 9_000_000_000_000_000, n)),
+               rng.choice(["src1", "web", "hm"], n), rng.integers(0, 3, n),
+               rng.choice(["Read", "Write"], n), rng.integers(0, 1 << 28, n) * 512,
+               rng.choice([4096, 8192, 65536], n), rng.integers(1_000, 1_000_000, n))
+    path = tmp_path / "msrc.csv"
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in zip(*columns)))
+    _parse_lane(benchmark, path, "msrc", iter_msrc_requests)

@@ -283,6 +283,16 @@ class WorkingSetSketch:
         return self.read_bytes / self.total_bytes
 
 
+def _add_working_sets(total: HyperLogLog, read: HyperLogLog, write: HyperLogLog,
+                      block_id: np.ndarray, is_write: np.ndarray) -> None:
+    """Add a chunk's blocks to its total/read/write sketches (same ``p``
+    and seed): each block is hashed and ranked once."""
+    idx, ranks = total.positions(block_id)
+    total.add_positions(idx, ranks)
+    read.add_positions(idx[~is_write], ranks[~is_write])
+    write.add_positions(idx[is_write], ranks[is_write])
+
+
 class SpatialAnalyzer:
     """Working-set size sketches at block granularity."""
 
@@ -306,9 +316,7 @@ class SpatialAnalyzer:
             return state
         req_index, block_id = chunk.block_expansion(self.block_size)
         is_write = chunk.is_write[req_index]
-        state.total.add_many(block_id)
-        state.read.add_many(block_id[~is_write])
-        state.write.add_many(block_id[is_write])
+        _add_working_sets(state.total, state.read, state.write, block_id, is_write)
         return state
 
     def merge(self, earlier: _SpatialState, later: _SpatialState) -> _SpatialState:
@@ -631,9 +639,7 @@ class StreamingProfileAnalyzer:
         state.sizes.add_array(chunk.sizes.astype(np.float64))
         req_index, block_id = chunk.block_expansion(self.block_size)
         is_write = chunk.is_write[req_index]
-        state.wss_total.add_many(block_id)
-        state.wss_read.add_many(block_id[~is_write])
-        state.wss_write.add_many(block_id[is_write])
+        _add_working_sets(state.wss_total, state.wss_read, state.wss_write, block_id, is_write)
         return state
 
     def merge(self, earlier: _ProfileState, later: _ProfileState) -> _ProfileState:

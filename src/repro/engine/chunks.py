@@ -3,16 +3,20 @@
 The row readers in :mod:`repro.trace.reader` allocate one
 :class:`~repro.trace.record.IORequest` per line — convenient, but the
 allocation plus enum/dataclass machinery dominates parse time on
-million-request traces.  The chunked readers here parse trace files in
-fixed-size line batches straight into NumPy arrays (:class:`Chunk`),
-skipping per-row object allocation on the hot path.
+million-request traces.  The chunked readers here parse trace bytes
+straight into NumPy arrays (:class:`Chunk`), in batches of
+``chunk_size`` data lines, with no per-line Python work on the hot path:
+one ``flatnonzero`` finds a read's newlines and one its commas, integer
+fields are decoded from their digit bytes, and string fields (volume,
+opcode, MSRC host) are decoded once per distinct value.
 
-Semantics match the row readers exactly: the same header/blank-line
-handling, the same accepted field syntax (NumPy's string→int64 cast
-delegates to Python ``int()``), and the same
-:class:`~repro.trace.reader.TraceFormatError` for malformed lines.  Any
-batch that fails the vectorized fast path is re-parsed row by row with the
-original parsers, so error messages and line numbers are byte-identical.
+Semantics match the row readers exactly: text-mode universal newlines,
+the same blank-line and header handling, and the row parsers' field
+syntax and :class:`~repro.trace.reader.TraceFormatError` messages.  The
+fast path accepts only what it can prove identical (plain 1-19 digit
+integers within int64, fields the row parsers' own opcode and strip
+logic accept); any other batch is re-parsed row by row with the original
+parsers, so error messages and line numbers are byte-identical.
 
 Within one file, each volume's requests appear in file (time) order; a
 batch containing several volumes is split into one :class:`Chunk` per
@@ -21,6 +25,9 @@ volume, preserving per-volume order.
 
 from __future__ import annotations
 
+import gzip
+import os
+from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -56,9 +63,8 @@ from ..trace.reader import (
     _looks_like_header,
     _parse_alicloud_line,
     _parse_msrc_line,
-    open_trace_file,
 )
-from ..trace.record import IORequest
+from ..trace.record import _INT64_MAX, IORequest, OpType
 from .plan import ALL_COLUMNS, QueryPlan, RowPredicate
 
 __all__ = [
@@ -323,145 +329,150 @@ def apply_plan(chunk: Chunk, plan: Optional[QueryPlan]) -> Optional[Chunk]:
     return kept
 
 
-# -- vectorized batch parsers ---------------------------------------------
+# -- byte-level batch parser ------------------------------------------------
 
+#: Bytes that may open a blank line: ASCII whitespace, and any non-ASCII
+#: byte (a Unicode space may start there; such lines get a decoded check).
+_MAYBE_SPACE = np.zeros(256, dtype=bool)
+_MAYBE_SPACE[[9, 11, 12, 28, 29, 30, 31, 32]] = True
+_MAYBE_SPACE[128:] = True
 
-def _cells(lines: Sequence[str], n_fields: int) -> np.ndarray:
-    """Split a batch of pre-validated lines into an (n, n_fields) cell grid."""
-    blob = ",".join(line.rstrip("\n") for line in lines)
-    return np.array(blob.split(","), dtype=np.str_).reshape(len(lines), n_fields)
-
-
-def _opcode_flags(tokens: np.ndarray, read_words, write_words) -> Optional[np.ndarray]:
-    """is_write flags, or None when any token is not a recognized opcode.
-
-    A batch holds at most a handful of distinct opcode spellings, so the
-    strip/upper/isin chain runs on the *unique* tokens only (one sort of
-    the raw tokens instead of three full-size string-array allocations)
-    and the per-token flags broadcast back through the inverse index.
-    """
-    uniq, inverse = np.unique(tokens, return_inverse=True)
-    up = np.char.upper(np.char.strip(uniq))
-    is_write_u = np.isin(up, write_words)
-    if not np.all(is_write_u | np.isin(up, read_words)):
-        return None
-    return is_write_u[inverse]
-
-
-def _stripped_column(tokens: np.ndarray) -> np.ndarray:
-    """``np.char.strip`` evaluated on unique values only (fused fast path)."""
-    uniq, inverse = np.unique(tokens, return_inverse=True)
-    return np.char.strip(uniq)[inverse]
+#: Integer fields of 1-19 ASCII digits are decoded from their bytes (uint64
+#: holds any 19 digits); signed, padded or longer ones fall back.
+_MAX_DIGITS = 19
 
 
 class _BadBatch(Exception):
     """Internal: the vectorized fast path rejected a batch (fall back)."""
 
 
-def _int_column(cells: np.ndarray) -> np.ndarray:
-    try:
-        return cells.astype(np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise _BadBatch from exc
+def _field_bounds(arr: np.ndarray, starts: np.ndarray, ends: np.ndarray, n_fields: int):
+    """``[(lo, hi), ...]``: each field's byte bounds on every line.
 
-
-def _parse_alicloud_batch(lines: Sequence[str]):
-    """Vectorized parse of AliCloud lines → column arrays.
-
-    Raises :class:`_BadBatch` on anything the fast path cannot prove
-    identical to the row parser; the caller then re-parses row by row.
+    Lines between the batch's lines are blank, so the span's commas are
+    the lines' own: ``n_fields - 1`` per line, each line's first at or
+    after its start and its last before its end, or the batch is bad.
     """
-    for line in lines:
-        if line.count(",") != 4:
-            raise _BadBatch
-    cells = _cells(lines, 5)
-    is_write = _opcode_flags(cells[:, 1], ("R", "READ"), ("W", "WRITE"))
-    if is_write is None:
+    n = len(starts)
+    commas = np.flatnonzero(arr[starts[0]:ends[-1]] == 44) + starts[0]
+    if len(commas) != n * (n_fields - 1):
         raise _BadBatch
-    offsets = _int_column(cells[:, 2])
-    sizes = _int_column(cells[:, 3])
-    timestamps = _int_column(cells[:, 4]) / _MICROSECONDS_PER_SECOND
-    if np.any(offsets < 0) or np.any(sizes <= 0):
+    commas = commas.reshape(n, n_fields - 1)
+    if np.any(commas[:, 0] < starts) or np.any(commas[:, -1] >= ends):
         raise _BadBatch
-    volumes = _stripped_column(cells[:, 0])
-    return volumes, timestamps, offsets, sizes, is_write, None
+    los = [starts] + [commas[:, k] + 1 for k in range(n_fields - 1)]
+    return list(zip(los, [commas[:, k] for k in range(n_fields - 1)] + [ends]))
 
 
-def _parse_msrc_batch(lines: Sequence[str]):
-    """Vectorized parse of MSRC lines → column arrays (see AliCloud twin)."""
-    for line in lines:
-        if line.count(",") != 6:
-            raise _BadBatch
-    cells = _cells(lines, 7)
-    is_write = _opcode_flags(cells[:, 3], ("R", "READ"), ("W", "WRITE"))
-    if is_write is None:
+def _ints(arr: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """int64 values of fields of 1-19 ASCII digits, decoded from the bytes."""
+    width = hi - lo
+    w = int(width.max())
+    if w > _MAX_DIGITS or int(width.min()) < 1:
         raise _BadBatch
-    disks = _int_column(cells[:, 2])
-    offsets = _int_column(cells[:, 4])
-    sizes = _int_column(cells[:, 5])
-    timestamps = _int_column(cells[:, 0]) / _FILETIME_TICKS_PER_SECOND
-    response = _int_column(cells[:, 6]) / _FILETIME_TICKS_PER_SECOND
-    if np.any(offsets < 0) or np.any(sizes <= 0):
+    # Row j holds each field's byte at hi - w + j; bytes before the field
+    # read as leading zeros.
+    pos = hi + np.arange(-w, 0)[:, None]
+    digits = np.take(arr, pos, mode="clip") - 48
+    digits[pos < lo] = 0
+    if np.any(digits > 9):
         raise _BadBatch
-    # Fused volume-id construction: a batch holds few distinct
-    # (host, disk) pairs, so build each "host_disk" string once — one
-    # integer unique over pair keys instead of strip + two np.char.add
-    # passes over the whole batch.
-    uniq_hosts, host_codes = np.unique(cells[:, 1], return_inverse=True)
-    lo = int(disks.min())
-    stride = int(disks.max()) - lo + 1
-    pair_keys, pair_codes = np.unique(
-        host_codes.astype(np.int64) * stride + (disks - lo), return_inverse=True
+    value = digits[0].astype(np.uint64)
+    for row in digits[1:]:
+        value = value * np.uint64(10) + row
+    if w == _MAX_DIGITS and np.any(value > np.uint64(_INT64_MAX)):
+        raise _BadBatch
+    return value.view(np.int64)
+
+
+def _per_token(buf: bytes, arr: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               convert: Callable[[str], Any]) -> np.ndarray:
+    """``convert`` of each decoded field, run once per distinct field; a
+    ``ValueError`` rejects the batch.  Fields group as byte strings padded
+    with 0xFF, which valid UTF-8 never holds."""
+    w = -(-max(int((hi - lo).max()), 1) // 8) * 8
+    pos = lo[:, None] + np.arange(w)
+    grid = np.take(arr, pos, mode="clip")
+    grid[pos >= hi[:, None]] = 0xFF
+    keys = grid.view(np.uint64)  # one row of w / 8 words per field
+    # A lexsort over the words: np.unique(keys, axis=0) sorts a void view
+    # and makes the parse kernel lanes about twice as slow.
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    codes = np.empty(len(order), dtype=np.intp)
+    codes[order] = np.cumsum(new) - 1
+    first = order[new]
+    try:
+        values = np.array([
+            convert(buf[a:b].decode("utf-8"))
+            for a, b in zip(lo[first].tolist(), hi[first].tolist())
+        ])
+    except ValueError:
+        raise _BadBatch from None
+    return values[codes]
+
+
+def _is_write(opcode: str) -> bool:
+    return OpType.parse(opcode).is_write
+
+
+def _msrc_volume(host_disk: str) -> str:
+    host, disk = host_disk.split(",")
+    return f"{host.strip()}_{int(disk)}"
+
+
+def _alicloud_columns(buf: bytes, arr: np.ndarray, fields):
+    """AliCloud ``device_id,opcode,offset,length,timestamp`` columns."""
+    volume, opcode, offset, length, timestamp = fields
+    return (
+        _per_token(buf, arr, *volume, str.strip),
+        _ints(arr, *timestamp) / _MICROSECONDS_PER_SECOND,
+        _ints(arr, *offset),
+        _ints(arr, *length),
+        _per_token(buf, arr, *opcode, _is_write),
+        None,
     )
-    stripped = np.char.strip(uniq_hosts)
-    uniq_volumes = np.array(
-        [f"{stripped[key // stride]}_{key % stride + lo}" for key in pair_keys.tolist()]
+
+
+def _msrc_columns(buf: bytes, arr: np.ndarray, fields):
+    """MSRC ``timestamp,hostname,disk,type,offset,size,response`` columns;
+    each distinct ``hostname,disk`` span becomes its volume id once."""
+    timestamp, hostname, disk, optype, offset, size, response = fields
+    return (
+        _per_token(buf, arr, hostname[0], disk[1], _msrc_volume),
+        _ints(arr, *timestamp) / _FILETIME_TICKS_PER_SECOND,
+        _ints(arr, *offset),
+        _ints(arr, *size),
+        _per_token(buf, arr, *optype, _is_write),
+        _ints(arr, *response) / _FILETIME_TICKS_PER_SECOND,
     )
-    volumes = uniq_volumes[pair_codes]
-    return volumes, timestamps, offsets, sizes, is_write, response
 
 
-def _parse_batch_fallback(
-    lines: Sequence[str],
-    linenos: Sequence[int],
-    row_parse: Callable[[str, int], IORequest],
-):
+def _parse_rows(lines: Sequence[str], linenos: Sequence[int],
+                row_parse: Callable[[str, int], IORequest], path: str, on_error: str,
+                errors: Optional[ParseErrors], reg: metrics.MetricsRegistry):
     """Row-by-row re-parse of a batch the fast path rejected.
 
-    Raises the row parser's exact :class:`TraceFormatError` for the first
-    malformed line; when every line parses (e.g. exotic-but-valid integer
-    syntax), returns the same column tuple as the fast path.
-    """
-    reqs = [row_parse(line, lineno) for line, lineno in zip(lines, linenos)]
-    return _columns_from_requests(reqs)
-
-
-def _parse_batch_salvage(
-    lines: Sequence[str],
-    linenos: Sequence[int],
-    row_parse: Callable[[str, int], IORequest],
-    path: str,
-    on_error: str,
-    errors: Optional[ParseErrors],
-    reg: metrics.MetricsRegistry,
-):
-    """Per-line re-parse that drops malformed lines instead of raising.
-
-    The non-strict twin of :func:`_parse_batch_fallback`: good rows come
-    back as the usual column tuple (or None when the whole batch is bad);
-    each malformed row is counted and, when ``errors`` is given, recorded
-    there (with a sampled :class:`~repro.resilience.QuarantineRecord`
-    under the ``quarantine`` policy).
+    Under ``strict`` the row parser's :class:`TraceFormatError` for the
+    first malformed line propagates.  Otherwise malformed lines are
+    dropped, counted, and recorded in ``errors`` when given (with a
+    sampled :class:`~repro.resilience.QuarantineRecord` under
+    ``quarantine``); None when no line survives.
     """
     keep_sample = on_error == ON_ERROR_QUARANTINE
-    dropped = reg.counter(
-        "engine.lines_quarantined" if keep_sample else "engine.lines_skipped"
-    )
+    if on_error != ON_ERROR_STRICT:
+        dropped = reg.counter(
+            "engine.lines_quarantined" if keep_sample else "engine.lines_skipped"
+        )
     reqs: List[IORequest] = []
     for line, lineno in zip(lines, linenos):
         try:
             reqs.append(row_parse(line, lineno))
         except TraceFormatError as exc:
+            if on_error == ON_ERROR_STRICT:
+                raise
             dropped.inc()
             if errors is not None:
                 errors.record(path, lineno, str(exc), line, keep_sample)
@@ -486,9 +497,10 @@ def _columns_from_requests(reqs: Sequence[IORequest]):
     return volumes, timestamps, offsets, sizes, is_write, response
 
 
+#: Format name -> (field count, vectorized batch parser, row parser).
 _FORMATS = {
-    "alicloud": (_parse_alicloud_batch, _parse_alicloud_line),
-    "msrc": (_parse_msrc_batch, _parse_msrc_line),
+    "alicloud": (5, _alicloud_columns, _parse_alicloud_line),
+    "msrc": (7, _msrc_columns, _parse_msrc_line),
 }
 
 
@@ -510,66 +522,94 @@ def _split_by_volume(columns) -> Iterator[Chunk]:
         )
 
 
-def _open_byte_range(path: str, lo: int, hi: int):
-    """A text stream over bytes ``[lo, hi)`` of an uncompressed trace file.
+@contextmanager
+def _byte_reader(path: str, byte_range: Optional[Tuple[int, int]]):
+    """``read(size)`` over a trace file's bytes (``.gz`` decompressed), or
+    over bytes ``[lo, hi)`` of an uncompressed one.  Plain-file reads stop
+    at the range end or file size, so no read allocates more than it gets."""
+    if path.endswith(".gz") and byte_range is None:
+        with gzip.open(path, "rb") as fh:
+            yield fh.read
+        return
+    with open(path, "rb") as fh:
+        lo, hi = byte_range or (0, os.fstat(fh.fileno()).st_size)
+        fh.seek(lo)
+        yield lambda size: fh.read(max(0, min(size, hi - fh.tell())))
 
-    The range bytes are read in one pass and wrapped in a
-    ``TextIOWrapper`` with the same utf-8 + universal-newline semantics
-    as :func:`~repro.trace.reader.open_trace_file`, so a line-aligned
-    range decodes to exactly the lines a whole-file read would yield
-    there.  Ranges are planned at ``split_rows`` granularity (a few MB),
-    so one materialized buffer per unit is cheap.
+
+def _line_spans(buf: bytes, final: bool):
+    """``(arr, starts, ends, nexts)``: ``buf`` as ``uint8`` and its complete lines.
+
+    ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end a line, as in text-mode
+    reads.  ``[starts, ends)`` is a line's content and ``nexts`` the offset
+    after its terminator.  An unterminated tail is a line only when
+    ``final``; a trailing ``\\r`` waits for more bytes (a ``\\n`` may follow).
     """
-    import io
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    ends = np.flatnonzero(arr == 10)
+    nexts = ends + 1
+    if b"\r" in buf:
+        cr = np.flatnonzero(arr == 13)
+        ahead = arr[np.minimum(cr + 1, len(arr) - 1)]
+        lone = cr[(ahead != 10) & ((cr + 1 < len(arr)) | final)]
+        nexts = np.union1d(nexts, lone + 1)
+        ends = nexts - 1 - ((arr[nexts - 1] == 10) & (arr[np.maximum(nexts - 2, 0)] == 13))
+    if final and (nexts[-1] if len(nexts) else 0) < len(arr):
+        ends = np.append(ends, len(arr))
+        nexts = np.append(nexts, len(arr))
+    starts = np.empty_like(nexts)
+    starts[:1] = 0
+    starts[1:] = nexts[:-1]
+    return arr, starts, ends, nexts
 
-    with open(path, "rb") as raw:
-        raw.seek(lo)
-        data = raw.read(max(0, hi - lo))
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
+def _iter_line_groups(path: str, chunk_size: int, skip_header: bool, n_fields: int,
+                      byte_range: Optional[Tuple[int, int]], start_lineno: int):
+    """Yield ``(buf, arr, starts, ends, linenos, chars)`` per read: the
+    data lines of its whole ``chunk_size`` batches (at end of input, the
+    short last one too).
 
-def _iter_line_batches(
-    path: str,
-    chunk_size: int,
-    skip_header: bool,
-    corrupt: Optional[Callable[[int, str], str]] = None,
-    byte_range: Optional[Tuple[int, int]] = None,
-    start_lineno: int = 1,
-):
-    """Yield ``(lines, linenos)`` batches, skipping blanks and the header.
-
-    Mirrors the row readers exactly: blank lines are skipped anywhere and
-    the header check applies to physical line 1 only.  ``corrupt`` is the
-    fault-injection hook (:func:`repro.faults.line_corruptor`), applied to
-    data lines only so injected corruption hits the parsers, not the
-    header/blank handling.
-
-    With ``byte_range`` set, only that line-aligned byte slice of the
-    file is read (the engine's cold split sub-units); ``start_lineno``
-    is the physical line number of the range's first line, so line
-    numbering — and with it header detection, fault injection, and error
-    messages — is identical to the whole-file pass over the same lines.
+    ``[starts, ends)`` are the lines' contents in ``buf`` and ``chars``
+    their lengths as decoded text lines, terminator included
+    (``parse.bytes``).  Blank and whitespace-only lines are skipped
+    anywhere, and a header only on physical line 1, as in the row
+    readers.  Bytes after the last whole batch carry over to the next
+    read.  Invalid UTF-8 raises ``UnicodeDecodeError``.
     """
-    opened = (
-        open_trace_file(path)
-        if byte_range is None
-        else _open_byte_range(path, byte_range[0], byte_range[1])
-    )
-    with opened as fh:
-        lines: List[str] = []
-        linenos: List[int] = []
-        for lineno, line in enumerate(fh, start=start_lineno):
-            if not line.strip():
+    block_bytes = max(1 << 16, 64 * chunk_size)  # a read holds about a batch
+    carry, lineno, final = b"", start_lineno, False
+    with _byte_reader(path, byte_range) as read:
+        while not final:
+            # Reading at least the carry's size keeps re-scans linear.
+            data = read(max(block_bytes, len(carry)))
+            final = not data
+            buf = carry + data
+            arr, starts, ends, nexts = _line_spans(buf, final)
+            if not len(starts):
+                carry = buf
                 continue
-            if lineno == 1 and skip_header and _looks_like_header(line):
-                continue
-            lines.append(line if corrupt is None else corrupt(lineno, line))
-            linenos.append(lineno)
-            if len(lines) >= chunk_size:
-                yield lines, linenos
-                lines, linenos = [], []
-        if lines:
-            yield lines, linenos
+            chars = ends - starts + (nexts > ends)
+            if not buf.isascii():
+                str(memoryview(buf)[: nexts[-1]], "utf-8")  # validate the lines
+                continuation = (arr[: nexts[-1]] & 0xC0) == 0x80  # not a char of its own
+                chars -= np.add.reduceat(continuation, starts, dtype=np.intp)
+            kept = ends > starts
+            for i in np.flatnonzero(kept & _MAYBE_SPACE[arr[starts]]).tolist():
+                kept[i] = not buf[starts[i]:ends[i]].decode("utf-8").isspace()
+            if skip_header and lineno == 1 and kept[0]:
+                kept[0] = not _looks_like_header(buf[:ends[0]].decode("utf-8"), n_fields)
+            kept = np.flatnonzero(kept)
+            done = len(kept) if final else len(kept) - len(kept) % chunk_size
+            if done:
+                sel = kept[:done]
+                yield buf, arr, starts[sel], ends[sel], lineno + sel, chars[sel]
+            rest = int(kept[done - 1]) + 1 if done else 0
+            carry = buf[starts[rest]:] if rest < len(starts) else buf[nexts[-1]:]
+            lineno += rest
+
+
+def _decode_lines(buf: bytes, starts: np.ndarray, ends: np.ndarray) -> List[str]:
+    return [buf[a:b].decode("utf-8") for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def _iter_batch_columns(
@@ -585,17 +625,18 @@ def _iter_batch_columns(
     """Parse one file into per-batch column tuples (pre volume-split).
 
     The shared parse core of :func:`iter_chunks` and the store builder
-    (:func:`repro.store.builder.build_entry`): fast-path batch parsing,
-    strict row-by-row fallback, and non-strict salvage all happen here,
-    so text-path chunks and store-persisted columns are produced by the
-    byte-identical machinery.  ``byte_range`` / ``start_lineno`` narrow
-    the parse to one line-aligned slice (see :func:`_iter_line_batches`).
+    (:func:`repro.store.builder.build_entry`), so text-path chunks and
+    store columns come from the same machinery.  ``byte_range`` /
+    ``start_lineno`` narrow the parse to one line-aligned slice whose
+    first line has that physical number.  A batch the fast path rejects
+    (or a fault plan corrupted) is re-parsed row by row
+    (:func:`_parse_rows`).
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
     on_error = validate_on_error(on_error)
     try:
-        batch_parse, row_parse = _FORMATS[fmt]
+        n_fields, batch_parse, row_parse = _FORMATS[fmt]
     except KeyError:
         raise ValueError(
             f"unknown trace format: {fmt!r} (expected 'alicloud' or 'msrc')"
@@ -604,26 +645,44 @@ def _iter_batch_columns(
     lines_total = reg.counter("parse.lines")
     bytes_total = reg.counter("parse.bytes")
     corrupt = faults.line_corruptor(path)
-    for lines, linenos in _iter_line_batches(
-        path, chunk_size, skip_header, corrupt,
-        byte_range=byte_range, start_lineno=start_lineno,
-    ):
-        lines_total.inc(len(lines))
-        bytes_total.inc(sum(map(len, lines)))
+
+    def fast(buf, arr, starts, ends):
         with span("parse_batch"):
             try:
-                columns = batch_parse(lines)
+                columns = batch_parse(buf, arr, _field_bounds(arr, starts, ends, n_fields))
             except _BadBatch:
+                return None
+        offsets, sizes = columns[2], columns[3]
+        # The row parser names a zero size and a request past int64.
+        if not sizes.all() or np.any(offsets > _INT64_MAX - (sizes - 1)):
+            return None
+        return columns
+
+    for buf, arr, starts, ends, linenos, chars in _iter_line_groups(
+        path, chunk_size, skip_header, n_fields, byte_range, start_lineno
+    ):
+        for lo in range(0, len(starts), chunk_size):
+            s, e, nos = (col[lo:lo + chunk_size] for col in (starts, ends, linenos))
+            lines_total.inc(len(s))
+            bytes_total.inc(int(chars[lo:lo + chunk_size].sum()))
+            columns = lines = None
+            if corrupt is not None:
+                clean = _decode_lines(buf, s, e)
+                hit = [corrupt(no, line) for no, line in zip(nos.tolist(), clean)]
+                if hit != clean:
+                    lines = hit  # a corrupted line has no commas left: fall back
+            if lines is None:
+                columns = fast(buf, arr, s, e)
+            if columns is None:
                 reg.counter("parse.fallback_batches").inc()
-                reg.counter("parse.fallback_lines").inc(len(lines))
-                if on_error == ON_ERROR_STRICT:
-                    columns = _parse_batch_fallback(lines, linenos, row_parse)
-                else:
-                    columns = _parse_batch_salvage(
-                        lines, linenos, row_parse, path, on_error, errors, reg
+                reg.counter("parse.fallback_lines").inc(len(s))
+                with span("parse_batch"):
+                    columns = _parse_rows(
+                        _decode_lines(buf, s, e) if lines is None else lines,
+                        nos.tolist(), row_parse, path, on_error, errors, reg,
                     )
-        if columns is not None:
-            yield columns
+            if columns is not None:
+                yield columns
 
 
 def iter_chunks(
@@ -715,8 +774,6 @@ def chunks_from_trace(
 
 def list_trace_files(directory: str) -> List[str]:
     """Sorted ``.csv``/``.csv.gz`` files of a trace directory."""
-    import os
-
     files = sorted(
         os.path.join(directory, f)
         for f in os.listdir(directory)
@@ -818,8 +875,6 @@ def read_dataset_dir_chunked(
     equals reading everything and then filtering, except that volumes
     left with zero rows are omitted entirely.
     """
-    import os
-
     from .runner import _fold_units
 
     merged, _, _ = _fold_units(

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, Uni
 
 from ..obs import metrics
 from ..resilience import ON_ERROR_STRICT, ParseErrors, validate_on_error
-from .chunks import DEFAULT_CHUNK_SIZE, Chunk, iter_chunks
+from .chunks import DEFAULT_CHUNK_SIZE, Chunk, _line_spans, iter_chunks
 from .plan import QueryPlan
 
 if TYPE_CHECKING:  # runtime import is lazy: repro.store imports the engine
@@ -132,32 +132,26 @@ def _scan_split_offsets(path: str, split_rows: int) -> Tuple[List[Tuple[int, int
     """Pre-scan a text file for line-aligned byte boundaries.
 
     Returns ``(bounds, size)`` where each bound is ``(byte_offset,
-    lineno)`` — the offset of the first byte after the newline ending
+    lineno)`` — the offset of the first byte after the terminator of
     physical line ``lineno - 1``, recorded every ``split_rows`` physical
-    lines — and ``size`` is the total bytes read.  Pure byte counting
-    (one pass, no decode), so the scan costs a small fraction of a parse.
+    lines — and ``size`` is the total bytes read.  Lines end as the
+    parser ends them (:func:`~repro.engine.chunks._line_spans`); no
+    decode, so the scan costs a small fraction of a parse.
     """
     bounds: List[Tuple[int, int]] = []
-    lineno = 0
-    offset = 0
-    next_mark = split_rows
+    lines = offset = 0
+    carry = b""
     with open(path, "rb") as fh:
         while True:
-            block = fh.read(_SCAN_BLOCK)
-            if not block:
-                break
-            pos = 0
-            while True:
-                nl = block.find(b"\n", pos)
-                if nl < 0:
-                    break
-                lineno += 1
-                if lineno >= next_mark:
-                    bounds.append((offset + nl + 1, lineno + 1))
-                    next_mark = lineno + split_rows
-                pos = nl + 1
-            offset += len(block)
-    return bounds, offset
+            data = fh.read(_SCAN_BLOCK)
+            buf = carry + data
+            nexts = _line_spans(buf, not data)[3]
+            for i in range((-lines - 1) % split_rows, len(nexts), split_rows):
+                bounds.append((offset + int(nexts[i]), lines + i + 2))
+            used = int(nexts[-1]) if len(nexts) else 0
+            lines, offset, carry = lines + len(nexts), offset + used, buf[used:]
+            if not data:
+                return bounds, offset
 
 
 def _split_cold(path: str, size: float, split_rows: int) -> List[WorkUnit]:

@@ -12,6 +12,8 @@ linear counting, large-range correction is unnecessary for 64-bit hashes).
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 __all__ = ["HyperLogLog"]
@@ -28,6 +30,18 @@ def _mix64(x: np.ndarray) -> np.ndarray:
         x = (x ^ (x >> np.uint64(27))) * _MIX2
         x = x ^ (x >> np.uint64(31))
     return x
+
+
+def _bit_length(v: np.ndarray) -> np.ndarray:
+    """Exact bit length of uint64 values.
+
+    float64 holds integers below 2**53 exactly, so ``frexp`` reads the bit
+    length off the top 53 bits (``v >> 11``), or off ``v`` itself when
+    those are all zero (``v < 2**11``).
+    """
+    top = v >> np.uint64(11)
+    big = top > 0
+    return np.frexp(np.where(big, top, v).astype(np.float64))[1] + 11 * big
 
 
 def _alpha(m: int) -> float:
@@ -63,31 +77,27 @@ class HyperLogLog:
 
     def add_many(self, items: np.ndarray) -> None:
         """Vectorized bulk insert of int64 items."""
+        self.add_positions(*self.positions(items))
+
+    def positions(self, items: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(register index, rank)`` of each int64 item.
+
+        The hash step of :meth:`add_many`.  Sketches with the same ``p``
+        and ``seed`` give the same positions, so one call can feed several
+        of them (or subsets of the items) through :meth:`add_positions`.
+        """
         items = np.asarray(items, dtype=np.int64)
-        if len(items) == 0:
-            return
         hashed = _mix64(items.view(np.uint64) ^ self._seed)
-        idx = (hashed >> np.uint64(64 - self.p)).astype(np.int64)
-        rest = hashed << np.uint64(self.p)  # remaining 64-p bits, left-aligned
-        # rank = position of the leftmost 1-bit in the remaining bits (1-based),
-        # or (64 - p + 1) when the rest is all zeros.
-        nbits = 64 - self.p
-        ranks = np.full(len(items), nbits + 1, dtype=np.uint8)
-        nonzero = rest != 0
-        if nonzero.any():
-            # Leading zero count via float64 exponent is unreliable past 2^53;
-            # use a bit-length loop over the 64-bit lanes instead (vectorized
-            # halving search, 6 steps).
-            v = rest[nonzero]
-            lz = np.zeros(v.shape, dtype=np.uint8)
-            shift = 32
-            while shift:
-                mask = v < (np.uint64(1) << np.uint64(64 - shift))
-                lz[mask] += np.uint8(shift)
-                v[mask] = v[mask] << np.uint64(shift)
-                shift //= 2
-            ranks[nonzero] = lz + 1
-        np.maximum.at(self._registers, idx, np.minimum(ranks, nbits + 1))
+        idx = (hashed >> np.uint64(64 - self.p)).astype(np.intp)
+        # rank = 1 + leading zeros of the remaining 64 - p bits, or
+        # 64 - p + 1 when they are all zero.
+        low = hashed & np.uint64((1 << (64 - self.p)) - 1)
+        ranks = (65 - self.p - _bit_length(low)).astype(np.uint8)
+        return idx, ranks
+
+    def add_positions(self, idx: np.ndarray, ranks: np.ndarray) -> None:
+        """Raise registers ``idx`` to at least ``ranks`` (see :meth:`positions`)."""
+        np.maximum.at(self._registers, idx, ranks)
 
     def merge(self, other: "HyperLogLog") -> "HyperLogLog":
         """Union of two sketches (must share p and seed)."""

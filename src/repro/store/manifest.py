@@ -71,7 +71,10 @@ UPGRADEABLE_VERSIONS = frozenset({2})
 #: Bump whenever :mod:`repro.engine.chunks` / :mod:`repro.trace.reader`
 #: change what a line parses to — every existing entry then reads as
 #: stale and is rebuilt on first use.
-PARSER_VERSION = 1
+#: v2: line 1 is a header only with the format's field count, requests
+#: ending past int64 are rejected, and an opcode with a trailing NUL is
+#: malformed; v1 entries may hold rows parsed the old way.
+PARSER_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 

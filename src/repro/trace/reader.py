@@ -113,24 +113,27 @@ def _parse_msrc_line(line: str, lineno: int) -> IORequest:
 
 
 def _iter_requests(
-    path: str, parse: Callable[[str, int], IORequest], skip_header: bool
+    path: str, parse: Callable[[str, int], IORequest], n_fields: int, skip_header: bool
 ) -> Iterator[IORequest]:
     with open_trace_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            if lineno == 1 and skip_header and _looks_like_header(line):
+            if lineno == 1 and skip_header and _looks_like_header(line, n_fields):
                 continue
             yield parse(line, lineno)
 
 
-def _looks_like_header(line: str) -> bool:
-    # Data rows always end with a numeric field (timestamp for AliCloud,
-    # response time for MSRC); a column-name header does not.  The volume
-    # id field cannot be used — device ids may be arbitrary strings.
-    last = line.rstrip("\n").rsplit(",", 1)[-1].strip()
+def _looks_like_header(line: str, n_fields: int) -> bool:
+    # A header has the format's field count, and data rows always end with
+    # a numeric field (timestamp for AliCloud, response time for MSRC); a
+    # column-name header does not.  The volume id field cannot be used —
+    # device ids may be arbitrary strings.
+    fields = line.rstrip("\n").split(",")
+    if len(fields) != n_fields:
+        return False
     try:
-        int(last)
+        int(fields[-1])
         return False
     except ValueError:
         return True
@@ -138,12 +141,12 @@ def _looks_like_header(line: str) -> bool:
 
 def iter_alicloud_requests(path: str, skip_header: bool = True) -> Iterator[IORequest]:
     """Stream :class:`IORequest` records from an AliCloud-format file."""
-    return _iter_requests(path, _parse_alicloud_line, skip_header)
+    return _iter_requests(path, _parse_alicloud_line, 5, skip_header)
 
 
 def iter_msrc_requests(path: str, skip_header: bool = True) -> Iterator[IORequest]:
     """Stream :class:`IORequest` records from an MSRC-format file."""
-    return _iter_requests(path, _parse_msrc_line, skip_header)
+    return _iter_requests(path, _parse_msrc_line, 7, skip_header)
 
 
 class _ColumnAccumulator:

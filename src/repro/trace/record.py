@@ -24,6 +24,9 @@ SECTOR_SIZE = 512
 #: conventional choice for flash-backed cloud block storage.
 DEFAULT_BLOCK_SIZE = 4096
 
+#: Largest byte a request may touch: columns and block math are int64.
+_INT64_MAX = 2**63 - 1
+
 
 class OpType(enum.Enum):
     """I/O request type."""
@@ -79,6 +82,10 @@ class IORequest:
             raise ValueError(f"negative offset: {self.offset}")
         if self.size <= 0:
             raise ValueError(f"non-positive size: {self.size}")
+        if self.size > _INT64_MAX or self.offset + self.size - 1 > _INT64_MAX:
+            raise ValueError(
+                f"request past int64 byte range: offset {self.offset}, size {self.size}"
+            )
 
     @property
     def end_offset(self) -> int:

@@ -6,6 +6,7 @@ messages and line numbers.
 """
 
 import gzip
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from repro.engine.chunks import (
     list_trace_files,
     read_dataset_dir_chunked,
 )
+from repro.cli import main
+from repro.obs import metrics
 from repro.trace import write_dataset_dir
 from repro.trace.blocks import expand_to_blocks
 from repro.trace.reader import (
@@ -173,6 +176,69 @@ class TestChunkedReaderErrors:
         path = _write(tmp_path / "t.csv", ALI_LINES)
         with pytest.raises(ValueError, match="unknown trace format"):
             list(iter_chunks(path, "nope"))
+
+
+#: Requests whose last byte lies past int64: the first offset does not fit
+#: int64 at all, the second does, but offset + size - 1 does not.
+PAST_INT64_ALI = [
+    "v0,R,99999999999999999999,4096,100",
+    "v0,R,9223372036854771712,8192,100",
+]
+
+
+class TestRequestsPastInt64:
+    @pytest.mark.parametrize("bad", PAST_INT64_ALI)
+    @pytest.mark.parametrize("chunk_size", [1, 100])
+    def test_strict_error_names_the_line(self, tmp_path, bad, chunk_size):
+        path = _write(tmp_path / "t.csv", [ALI_LINES[0], bad, ALI_LINES[1]])
+        with pytest.raises(TraceFormatError) as row_err:
+            list(iter_alicloud_requests(path))
+        with pytest.raises(TraceFormatError) as chunk_err:
+            list(iter_chunks(path, "alicloud", chunk_size=chunk_size))
+        assert str(chunk_err.value) == str(row_err.value)
+        assert chunk_err.value.line_number == 2
+        assert "past int64" in str(chunk_err.value)
+
+    @pytest.mark.parametrize("bad", PAST_INT64_ALI)
+    @pytest.mark.parametrize(
+        "policy, counter",
+        [("skip", "engine.lines_skipped"), ("quarantine", "engine.lines_quarantined")],
+    )
+    def test_non_strict_drops_and_counts_the_line(self, tmp_path, bad, policy, counter):
+        path = _write(tmp_path / "t.csv", [ALI_LINES[0], bad, ALI_LINES[1]])
+        with metrics.collecting() as reg:
+            cols = _concat_chunks(iter_chunks(path, "alicloud", on_error=policy))
+        assert reg.counter(counter).value == 1
+        assert sorted(cols) == ["v0", "v1"]
+        assert sum(len(c[0]) for c in cols.values()) == 2
+
+    def test_stream_analyze_skips_the_line(self, tmp_path, capsys):
+        fleet = tmp_path / "fleet"
+        fleet.mkdir()
+        _write(fleet / "t.csv", ALI_LINES + PAST_INT64_ALI)
+        rc = main(["stream-analyze", str(fleet), "--no-store", "--no-ledger",
+                   "--on-error", "skip"])
+        assert rc == 0
+        profiles = json.loads(capsys.readouterr().out)["profiles"]
+        assert sum(p["n_requests"] for p in profiles.values()) == len(ALI_LINES)
+
+
+class TestHeaderNeedsFieldCount:
+    def test_trailing_comma_on_line_one_is_data(self, tmp_path):
+        # Its last field is empty, not an integer, but six fields are not
+        # the format's header: the line is malformed data, not skipped.
+        path = _write(tmp_path / "t.csv", ["v0,R,0,4096,100,", ALI_LINES[0]])
+        with pytest.raises(TraceFormatError) as row_err:
+            list(iter_alicloud_requests(path))
+        with pytest.raises(TraceFormatError) as chunk_err:
+            list(iter_chunks(path, "alicloud"))
+        want = "line 1: expected 5 comma-separated fields, got 6"
+        assert str(row_err.value) == str(chunk_err.value) == want
+
+    def test_header_with_the_field_count_is_skipped(self, tmp_path):
+        path = _write(tmp_path / "t.csv", ["device,opcode,offset,length,timestamp", ALI_LINES[0]])
+        assert len(list(iter_alicloud_requests(path))) == 1
+        assert sum(map(len, iter_chunks(path, "alicloud"))) == 1
 
 
 class TestChunkObject:

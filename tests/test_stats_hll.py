@@ -5,7 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.analyzers import _add_working_sets
 from repro.stats import HyperLogLog
+from repro.stats.hll import _bit_length
+
+_M64 = (1 << 64) - 1
+EDGE_ITEMS = [0, -1, 1, 2**62, -(2**62), -(2**63), 2**63 - 1]
+
+
+def _reference_registers(items, p, seed):
+    """Registers by definition: splitmix64 of (item ^ seed), top p bits
+    pick the register, rank = 1 + leading zeros of the other 64 - p."""
+    registers = [0] * (1 << p)
+    mixed_seed = (seed * 0x9E3779B97F4A7C15) & _M64
+    for item in items:
+        x = (int(item) & _M64) ^ mixed_seed
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+        x ^= x >> 31
+        low = x & ((1 << (64 - p)) - 1)
+        rank = 64 - p + 1 - low.bit_length()
+        registers[x >> (64 - p)] = max(registers[x >> (64 - p)], rank)
+    return registers
 
 
 class TestHyperLogLog:
@@ -78,3 +99,36 @@ class TestHyperLogLog:
             assert hll.estimate() == pytest.approx(0.0)
         else:
             assert len(hll) == pytest.approx(distinct, rel=0.1, abs=4)
+
+
+class TestPositions:
+    def test_bit_length_exact_at_every_bit(self):
+        values = [0] + [v for k in range(64) for v in (1 << k, (1 << k) + 1, (2 << k) - 1)]
+        got = _bit_length(np.array(values, dtype=np.uint64))
+        assert got.tolist() == [v.bit_length() for v in values]
+
+    @pytest.mark.parametrize("p", [4, 10, 14, 18])
+    def test_registers_match_definition(self, p):
+        rng = np.random.default_rng(p)
+        items = EDGE_ITEMS + rng.integers(-(2**63), 2**63 - 1, 3000, endpoint=True).tolist()
+        hll = HyperLogLog(p, seed=5)
+        hll.add_many(np.array(items, dtype=np.int64))
+        assert hll._registers.tolist() == _reference_registers(items, p, seed=5)
+
+    @pytest.mark.parametrize("p", [4, 10, 14, 18])
+    def test_shared_positions_equal_three_add_many(self, p):
+        rng = np.random.default_rng(p)
+        items = np.concatenate([
+            np.array(EDGE_ITEMS, dtype=np.int64),
+            rng.integers(-(2**63), 2**63 - 1, 20_000, endpoint=True, dtype=np.int64),
+            rng.integers(0, 1_000, 20_000),
+        ])
+        is_write = rng.random(len(items)) < 0.4
+        separate = [HyperLogLog(p, seed=9) for _ in range(3)]
+        separate[0].add_many(items)
+        separate[1].add_many(items[~is_write])
+        separate[2].add_many(items[is_write])
+        shared = [HyperLogLog(p, seed=9) for _ in range(3)]
+        _add_working_sets(*shared, items, is_write)
+        for a, b in zip(separate, shared):
+            assert np.array_equal(a._registers, b._registers)

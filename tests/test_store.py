@@ -216,6 +216,35 @@ class TestInvalidation:
         monkeypatch.setattr(manifest_mod, "PARSER_VERSION", manifest_mod.PARSER_VERSION + 1)
         assert entry_status(path, store, "alicloud")[0] == ENTRY_STALE
 
+    def test_v1_entry_is_rebuilt_with_current_line_one_rules(self, tmp_path, capsys):
+        # Parser v1 skipped a 6-field line 1 whose last field is not an
+        # integer as a header.  Forge such an entry: ingest a file whose
+        # line 1 is a same-length header, swap in the 6-field line keeping
+        # the source stamp, and mark the manifest v1.
+        fleet = tmp_path / "fleet"
+        fleet.mkdir()
+        path = str(fleet / "t.csv")
+        line1 = "v0,R,0,4096,100,"
+        rows = "v0,R,4096,4096,200\nv1,W,0,512,300\n"
+        with open(path, "w") as fh:
+            fh.write("dev,op,off,len,t".ljust(len(line1), "x") + "\n" + rows)
+        ingest_file(path, fmt="alicloud")
+        st = os.stat(path)
+        with open(path, "w") as fh:
+            fh.write(line1 + "\n" + rows)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        manifest_path = os.path.join(entry_dir(StoreConfig().dir_for(path), path), "manifest.json")
+        with open(manifest_path) as fh:
+            raw = json.load(fh)
+        raw["parser_version"] = 1
+        with open(manifest_path, "w") as fh:
+            json.dump(raw, fh)
+
+        want = "line 1: expected 5 comma-separated fields, got 6"
+        for flag in ("--no-store", "--store"):
+            with pytest.raises(TraceFormatError, match=want):
+                main(["stream-analyze", str(fleet), flag, "--no-ledger"])
+
     def test_store_format_version_bump_invalidates(self, ali_dir, tmp_path, monkeypatch):
         store = StoreConfig(dir=str(tmp_path / "store"))
         path = list_trace_files(ali_dir)[0]

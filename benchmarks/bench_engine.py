@@ -1,16 +1,10 @@
-"""Engine vs legacy analysis paths on a synthetic AliCloud fleet.
+"""The engine's streaming profile on a synthetic AliCloud fleet.
 
 Standalone benchmark (not pytest): generates a fleet, writes it to trace
-files once, then times three ways of profiling every volume from those
-files:
-
-* ``row-stream`` — the legacy bounded-memory path: row readers yielding
-  one ``IORequest`` object per line into ``stream_profile_requests``.
-* ``columnar`` — the legacy in-memory path: ``read_dataset_dir`` (row
-  parsing) followed by vectorized per-volume analysis of the arrays.
-* ``engine`` — ``repro.engine``: chunked columnar parsing folded through
-  :class:`~repro.engine.analyzers.StreamingProfileAnalyzer`, at each
-  requested worker count.
+files once, then times ``repro.engine`` profiling every volume from
+those files — chunked columnar parsing folded through
+:class:`~repro.engine.analyzers.StreamingProfileAnalyzer` — at each
+requested worker count.
 
 A final ``scheduling`` section drills the straggler problem on a skewed
 fleet (one big file, many tiny ones): the same analysis runs with
@@ -53,40 +47,6 @@ def _generate(directory: str, n_volumes: int, day_seconds: float, n_days: int) -
     fleet = make_alicloud_fleet(n_volumes=n_volumes, seed=0, scale=scale)
     write_dataset_dir(fleet, directory, fmt="alicloud")
     return fleet.n_requests
-
-
-def _bench_row_stream(directory: str):
-    from repro.core import stream_profile_requests
-    from repro.engine.chunks import list_trace_files
-    from repro.trace.reader import iter_alicloud_requests
-
-    def all_requests():
-        for path in list_trace_files(directory):
-            yield from iter_alicloud_requests(path)
-
-    return stream_profile_requests(all_requests())
-
-
-def _bench_columnar(directory: str):
-    from repro.core import working_sets
-    from repro.core.load_intensity import average_intensity
-    from repro.trace import read_dataset_dir
-
-    dataset = read_dataset_dir(directory, fmt="alicloud")
-    out = {}
-    for trace in dataset.non_empty_volumes():
-        ws = working_sets(trace)
-        out[trace.volume_id] = (
-            len(trace),
-            int(trace.sizes[trace.is_write].sum()),
-            average_intensity(trace),
-            ws.total,
-            np.percentile(trace.sizes, [25, 50, 75, 90, 95]),
-            np.percentile(np.diff(trace.timestamps), [25, 50, 75, 90, 95])
-            if len(trace) > 1
-            else None,
-        )
-    return out
 
 
 def _bench_engine(directory: str, workers: int, chunk_size: int):
@@ -273,37 +233,15 @@ def main(argv=None) -> int:
         n_requests = _generate(directory, n_volumes, day_seconds, n_days)
         print(f"fleet: {n_requests} requests in {len(os.listdir(directory))} files\n")
 
-        times = {}
         records = []
         print("timings:")
-        for label, elapsed, _ in (
-            _timed("row-stream (legacy)", _bench_row_stream, directory),
-            _timed("columnar (legacy)", _bench_columnar, directory),
-        ):
-            times[label] = elapsed
-            records.append(timing_record(label, n_requests, elapsed))
-        engine_times = {}
         for workers in args.workers:
             label = f"engine workers={workers}"
             _, elapsed, result = _timed(
                 label, _bench_engine, directory, workers, args.chunk_size
             )
-            engine_times[workers] = elapsed
             records.append(timing_record(label, n_requests, elapsed))
             assert result.n_volumes == n_volumes
-
-        print("\nspeedups vs row-stream (legacy):")
-        row = times["row-stream (legacy)"]
-        headline = {}
-        for workers, elapsed in engine_times.items():
-            print(f"  engine workers={workers}: {row / elapsed:5.2f}x")
-            headline[f"speedup_vs_row_stream_w{workers}"] = round(row / elapsed, 3)
-        columnar = times["columnar (legacy)"]
-        if 1 in engine_times:
-            print(
-                f"\nengine workers=1 vs columnar (legacy): "
-                f"{columnar / engine_times[1]:5.2f}x"
-            )
 
         print("\nscheduling (skew drill, workers=4):")
         sched = _bench_scheduling(tmp, 4)
@@ -319,8 +257,10 @@ def main(argv=None) -> int:
                 sched["n_requests"], sched["split_seconds"],
             )
         )
-        headline["split_speedup_w4"] = sched["split_speedup"]
-        headline["split_utilization_w4"] = sched["split_utilization"]
+        headline = {
+            "split_speedup_w4": sched["split_speedup"],
+            "split_utilization_w4": sched["split_utilization"],
+        }
 
         write_run_record(
             "bench_engine",

@@ -10,8 +10,13 @@ Demonstrates the core public API in under a minute:
 Run:  python examples/quickstart.py
 """
 
-from repro import basic_statistics, compute_profile, evaluate_findings
-from repro.core import format_duration, format_table
+from repro.core import (
+    basic_statistics,
+    compute_profile,
+    evaluate_findings,
+    format_duration,
+    format_table,
+)
 from repro.synth import Scale, make_alicloud_fleet, make_msrc_fleet
 
 # A compressed time scale keeps the example fast: 31 "days" of 60 s each.

@@ -4,9 +4,10 @@
 The real AliCloud release holds ~20 billion requests — far beyond what
 columnar in-memory analysis can hold.  This example shows the bounded-
 memory pipeline: write a fleet to disk in the released CSV format, then
-profile it volume-by-volume straight from the file iterator using
-reservoir sampling (percentiles) and HyperLogLog sketches (working-set
-sizes), and compare the estimates against exact in-memory analysis.
+profile it volume-by-volume in one chunked pass over the file with the
+engine's ``StreamingProfileAnalyzer`` fold, using reservoir sampling
+(percentiles) and HyperLogLog sketches (working-set sizes), and compare
+the estimates against exact in-memory analysis.
 
 Run:  python examples/streaming_analysis.py
 """
@@ -16,9 +17,10 @@ import tempfile
 
 import numpy as np
 
-from repro.core import format_bytes, format_table, stream_profile_requests, working_sets
+from repro.core import format_bytes, format_table, working_sets
+from repro.engine import StreamingProfileAnalyzer, run_files
 from repro.synth import Scale, make_alicloud_fleet
-from repro.trace import iter_alicloud_requests, write_alicloud
+from repro.trace import write_alicloud
 
 SCALE = Scale(n_days=6, day_seconds=60.0)
 
@@ -30,8 +32,9 @@ def main() -> None:
         write_alicloud(fleet, path)
         size_mib = os.path.getsize(path) / 2**20
         print(f"Wrote {fleet.n_requests:,} requests ({size_mib:.1f} MiB CSV).")
-        print("Profiling straight from the file iterator (one pass, O(volumes) memory)...\n")
-        profiles = stream_profile_requests(iter_alicloud_requests(path))
+        print("Profiling in one chunked pass over the file (O(volumes) memory)...\n")
+        result = run_files([path], [StreamingProfileAnalyzer()], fmt="alicloud")
+        profiles = result.analyzer("streaming_profile")
 
     rows = []
     for vid in sorted(profiles, key=lambda v: -profiles[v].n_requests)[:6]:

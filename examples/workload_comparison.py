@@ -4,8 +4,9 @@ AliCloud against MSRC.
 
 This is the paper's methodology as a one-call API
 (:func:`repro.core.compare_datasets`): given any two datasets — here the
-two calibrated synthetic fleets; swap in ``read_alicloud(...)`` /
-``read_msrc(...)`` for real trace files — print a side-by-side
+two calibrated synthetic fleets; swap in
+``repro.engine.read_dataset_dir_chunked(directory, fmt=...)`` for a
+directory of real trace files — print a side-by-side
 characterization across the three analysis axes and read the design
 implications off it.
 

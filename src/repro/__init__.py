@@ -1,77 +1,28 @@
 """repro — workload characterization toolkit for cloud block storage.
 
 A production-quality reproduction of "An In-Depth Analysis of Cloud Block
-Storage Workloads in Large-Scale Production" (IISWC 2020).  The package
-provides:
+Storage Workloads in Large-Scale Production" (IISWC 2020).  Importing the
+package loads nothing else; import the subpackage you need:
 
 * :mod:`repro.trace` — trace data model and file formats (AliCloud, MSRC),
 * :mod:`repro.stats` — CDF/boxplot/histogram statistics toolkit,
-* :mod:`repro.synth` — calibrated synthetic fleet generation,
-* :mod:`repro.core` — the paper's characterization metrics and 15 findings,
 * :mod:`repro.engine` — chunked columnar one-pass analysis engine with
   process-pool fan-out across volumes,
+* :mod:`repro.store` — parse-once, mmap-forever columnar trace store,
+* :mod:`repro.synth` — calibrated synthetic fleet generation,
+* :mod:`repro.core` — the paper's characterization metrics and 15 findings,
 * :mod:`repro.cache` — cache policies, trace-driven simulation, MRC tools,
 * :mod:`repro.cluster` — SSD/FTL model, placement, balancing, offloading.
 
 Quickstart::
 
-    from repro import make_alicloud_fleet, compute_profile
+    from repro.core import compute_profile
+    from repro.synth import make_alicloud_fleet
     fleet = make_alicloud_fleet(n_volumes=20, seed=7)
     profile = compute_profile(fleet.volumes()[0])
     print(profile.write_read_ratio, profile.update_coverage)
 """
 
-from . import cache, cluster, core, engine, faults, resilience, stats, synth, trace
-from .core import (
-    BasicStatistics,
-    Finding,
-    VolumeProfile,
-    basic_statistics,
-    compute_profile,
-    evaluate_findings,
-)
-from .synth import Scale, make_alicloud_fleet, make_msrc_fleet
-from .trace import (
-    DEFAULT_BLOCK_SIZE,
-    IORequest,
-    OpType,
-    TraceDataset,
-    VolumeTrace,
-    read_alicloud,
-    read_msrc,
-    write_alicloud,
-    write_msrc,
-)
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "cache",
-    "cluster",
-    "core",
-    "engine",
-    "faults",
-    "resilience",
-    "stats",
-    "synth",
-    "trace",
-    "DEFAULT_BLOCK_SIZE",
-    "IORequest",
-    "OpType",
-    "TraceDataset",
-    "VolumeTrace",
-    "read_alicloud",
-    "read_msrc",
-    "write_alicloud",
-    "write_msrc",
-    "Scale",
-    "make_alicloud_fleet",
-    "make_msrc_fleet",
-    "BasicStatistics",
-    "Finding",
-    "VolumeProfile",
-    "basic_statistics",
-    "compute_profile",
-    "evaluate_findings",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -76,12 +76,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__, faults
-from .core import (
-    basic_statistics,
-    compute_profile,
-    evaluate_findings,
-    format_table,
-)
 from .engine import DEFAULT_CHUNK_SIZE, RowPredicate, read_dataset_dir_chunked
 from .engine.runner import parallel_map, resilient_map
 from .lint_parser import build_lint_parser
@@ -108,8 +102,6 @@ from .resilience import (
 )
 from .resilience.checkpoint import DEFAULT_CHECKPOINT_DIR
 from .store import DEFAULT_STORE_DIRNAME, StoreConfig
-from .synth import alicloud_scale, make_alicloud_fleet, make_msrc_fleet, msrc_scale
-from .trace import write_dataset_dir
 
 __all__ = ["main", "build_parser"]
 
@@ -486,6 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _generate(args: argparse.Namespace) -> int:
+    from .synth import alicloud_scale, make_alicloud_fleet, make_msrc_fleet, msrc_scale
+    from .trace.writer import write_dataset_dir
+
     if args.fleet == "alicloud":
         scale = alicloud_scale(n_days=args.days or 31, day_seconds=args.day_seconds)
         dataset = make_alicloud_fleet(
@@ -522,6 +517,8 @@ def _json_safe(value):
 
 def _profile_volume(trace, block_size: int):
     """Module-level so :func:`repro.engine.runner.parallel_map` can pickle it."""
+    from .core.volume_profile import compute_profile
+
     metrics.counter("analyze.requests").inc(len(trace))
     return compute_profile(trace, block_size=block_size).to_dict()
 
@@ -686,6 +683,9 @@ def _analyze(args: argparse.Namespace) -> int:
 
 
 def _report(args: argparse.Namespace) -> int:
+    from .core.aggregate import basic_statistics
+    from .core.report import format_table
+
     engine = _engine_kwargs(args)
     errors = RunErrors(policy=engine["on_error"])
     dataset = read_dataset_dir_chunked(
@@ -712,6 +712,9 @@ def _report(args: argparse.Namespace) -> int:
 
 
 def _findings(args: argparse.Namespace) -> int:
+    from .core.findings import evaluate_findings
+    from .synth import alicloud_scale, make_alicloud_fleet, make_msrc_fleet, msrc_scale
+
     scale_a = alicloud_scale(day_seconds=args.day_seconds)
     scale_m = msrc_scale(day_seconds=args.day_seconds)
     engine = _engine_kwargs(args)
@@ -749,6 +752,7 @@ def _findings(args: argparse.Namespace) -> int:
 
 def _experiments(args: argparse.Namespace) -> int:
     from .core.experiments import render_experiments
+    from .synth import alicloud_scale, make_alicloud_fleet, make_msrc_fleet, msrc_scale
 
     scale_a = alicloud_scale(day_seconds=args.day_seconds)
     scale_m = msrc_scale(day_seconds=args.day_seconds)

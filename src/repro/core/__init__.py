@@ -76,11 +76,6 @@ from .spatial import (
     update_coverage,
     working_sets,
 )
-from .streaming_profile import (
-    StreamingVolumeProfile,
-    StreamingVolumeProfiler,
-    stream_profile_requests,
-)
 from .temporal import (
     TRANSITION_TYPES,
     AdjacentAccessTimes,
@@ -157,9 +152,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentContext",
     "render_experiments",
-    "StreamingVolumeProfile",
-    "StreamingVolumeProfiler",
-    "stream_profile_requests",
     "DatasetSummary",
     "WorkloadComparison",
     "compare_datasets",

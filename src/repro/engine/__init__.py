@@ -7,9 +7,9 @@ One shared execution substrate for every trace analysis:
   arrays (no per-row object allocation).
 * :mod:`~repro.engine.analyzer` — the :class:`Analyzer` contract: every
   metric as a mergeable ``init_state / consume / merge / finalize`` fold.
-* :mod:`~repro.engine.analyzers` — adapters re-expressing the paper's
-  load-intensity, spatial, temporal, and streaming-profile analyses as
-  engine folds.
+* :mod:`~repro.engine.analyzers` — the paper's load-intensity, spatial
+  and temporal analyses as engine folds, plus the streaming profile
+  (:class:`StreamingVolumeProfile`) behind ``stream-analyze``.
 * :mod:`~repro.engine.plan` — query planning: analyzers declare the
   columns they read and optional row predicates; the run's
   :class:`QueryPlan` prunes columns and pushes filters down the data
@@ -47,6 +47,7 @@ from .analyzers import (
     LoadIntensityResult,
     SpatialAnalyzer,
     StreamingProfileAnalyzer,
+    StreamingVolumeProfile,
     TemporalAnalyzer,
     TemporalResult,
     WorkingSetSketch,
@@ -98,6 +99,7 @@ __all__ = [
     "LoadIntensityResult",
     "SpatialAnalyzer",
     "StreamingProfileAnalyzer",
+    "StreamingVolumeProfile",
     "TemporalAnalyzer",
     "TemporalResult",
     "WorkingSetSketch",

@@ -32,8 +32,7 @@ from .chunks import Chunk
 
 __all__ = ["Analyzer", "volume_seed", "reservoir_percentiles"]
 
-#: Percentiles reported by engine analyzers' reservoir-backed estimates
-#: (matches :meth:`repro.core.streaming_profile.StreamingVolumeProfiler.profile`).
+#: Percentiles reported by engine analyzers' reservoir-backed estimates.
 DEFAULT_PERCENTILES = (25.0, 50.0, 75.0, 90.0, 95.0)
 
 

@@ -1,7 +1,8 @@
 """Engine adapters for the paper's analyses.
 
-Each analyzer re-expresses one legacy analysis module as a mergeable fold
-over columnar chunks:
+Each analyzer is a mergeable fold over columnar chunks.  The first three
+re-express one in-memory :mod:`repro.core` module each; the streaming
+profile exists only as a fold:
 
 * :class:`LoadIntensityAnalyzer` — :mod:`repro.core.load_intensity`:
   exact request/traffic counters, inter-arrival quantile reservoir, and
@@ -11,12 +12,13 @@ over columnar chunks:
 * :class:`TemporalAnalyzer` — :mod:`repro.core.temporal`: exact
   RAW/WAW/RAR/WAR transition counts, update-interval counts, and reservoir
   samples of their elapsed-time distributions.
-* :class:`StreamingProfileAnalyzer` — :mod:`repro.core.streaming_profile`:
-  the full bounded-memory per-volume profile
-  (:class:`~repro.core.streaming_profile.StreamingVolumeProfile`).
+* :class:`StreamingProfileAnalyzer` — the bounded-memory per-volume
+  profile (:class:`StreamingVolumeProfile`) that ``stream-analyze``
+  reports: exact counters, reservoir percentiles and HyperLogLog
+  working-set sizes.
 
-Exact counters are *exact*: chunked and parallel runs reproduce the legacy
-single-pass numbers bit-for-bit because states carry enough boundary
+Exact counters are *exact*: chunked and parallel runs reproduce the
+in-memory numbers bit-for-bit because states carry enough boundary
 information (first/last timestamps, per-block first/last events) for
 ``merge`` to reconstruct every cross-boundary pair.  Distribution metrics
 use the existing reservoir/HLL sketches and are deterministic for a given
@@ -24,8 +26,7 @@ volume id regardless of chunk size or worker count (sketch seeds hash the
 volume id; merges happen in fixed order).
 
 All analyzers require each volume's chunks in time order — the order trace
-files are written in and the same requirement the legacy streaming
-profiler imposes.
+files are written in.
 
 Every built-in analyzer declares honest ``required_columns`` (none needs
 ``response_times``; only the timestamp-driven ones need ``timestamps``)
@@ -41,7 +42,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..core.streaming_profile import StreamingVolumeProfile
 from ..stats.hll import HyperLogLog
 from ..stats.streaming import ReservoirSampler
 from ..trace.record import DEFAULT_BLOCK_SIZE
@@ -57,11 +57,11 @@ __all__ = [
     "TemporalAnalyzer",
     "TemporalResult",
     "StreamingProfileAnalyzer",
+    "StreamingVolumeProfile",
     "DEFAULT_RESERVOIR_SIZE",
 ]
 
-#: Default reservoir capacity for quantile estimates (matches the legacy
-#: streaming profiler).
+#: Default reservoir capacity for quantile estimates.
 DEFAULT_RESERVOIR_SIZE = 4096
 
 
@@ -553,6 +553,50 @@ class TemporalAnalyzer:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class StreamingVolumeProfile:
+    """Bounded-memory profile of one volume (estimates marked ~)."""
+
+    volume_id: str
+    n_requests: int
+    n_reads: int
+    n_writes: int
+    read_bytes: int
+    write_bytes: int
+    start_time: float
+    end_time: float
+    #: ~ distinct blocks touched (HLL estimate), in bytes
+    wss_total_bytes: float
+    wss_read_bytes: float
+    wss_write_bytes: float
+    #: ~ request-size percentiles from a reservoir: {p: value}
+    size_percentiles: Dict[float, float]
+    #: ~ inter-arrival percentiles from a reservoir: {p: seconds}
+    interarrival_percentiles: Dict[float, float]
+
+    @property
+    def duration(self) -> float:
+        return self.end_time - self.start_time
+
+    @property
+    def average_intensity(self) -> float:
+        if self.n_requests < 2 or self.duration <= 0:
+            return 0.0
+        return self.n_requests / self.duration
+
+    @property
+    def write_read_ratio(self) -> float:
+        if self.n_reads == 0:
+            return float("inf") if self.n_writes else float("nan")
+        return self.n_writes / self.n_reads
+
+    @property
+    def read_wss_fraction(self) -> float:
+        if self.wss_total_bytes <= 0:
+            return float("nan")
+        return self.wss_read_bytes / self.wss_total_bytes
+
+
 class _ProfileState:
     __slots__ = (
         "volume_id",
@@ -586,12 +630,12 @@ class _ProfileState:
 
 
 class StreamingProfileAnalyzer:
-    """The legacy bounded-memory volume profile as an engine fold.
+    """The bounded-memory volume profile as an engine fold.
 
-    Produces the same :class:`~repro.core.streaming_profile.StreamingVolumeProfile`
-    dataclass as :class:`~repro.core.streaming_profile.StreamingVolumeProfiler`,
-    with identical exact counters; sketch seeds hash the volume id (instead
-    of arrival order) so results are reproducible under parallel fan-out.
+    Finalizes each volume to a :class:`StreamingVolumeProfile`.  Its exact
+    counters equal the volume's :class:`~repro.trace.dataset.VolumeTrace`
+    counters; sketch seeds hash the volume id, so results are reproducible
+    under parallel fan-out.
     """
 
     def __init__(

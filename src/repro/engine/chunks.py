@@ -64,7 +64,14 @@ from ..trace.reader import (
     _parse_alicloud_line,
     _parse_msrc_line,
 )
-from ..trace.record import _INT64_MAX, IORequest, OpType
+from ..trace.record import (
+    _FILETIME_TICKS_PER_SECOND,
+    _INT64_MAX,
+    _MICROSECONDS_PER_SECOND,
+    IORequest,
+    OpType,
+    _ticks_to_seconds,
+)
 from .plan import ALL_COLUMNS, QueryPlan, RowPredicate
 
 __all__ = [
@@ -82,9 +89,6 @@ __all__ = [
 #: Lines parsed per batch; large enough to amortize NumPy call overhead,
 #: small enough that a batch of column arrays stays cache-friendly.
 DEFAULT_CHUNK_SIZE = 65_536
-
-_FILETIME_TICKS_PER_SECOND = 10_000_000
-_MICROSECONDS_PER_SECOND = 1_000_000
 
 
 class ColumnPrunedError(RuntimeError):
@@ -428,7 +432,7 @@ def _alicloud_columns(buf: bytes, arr: np.ndarray, fields):
     volume, opcode, offset, length, timestamp = fields
     return (
         _per_token(buf, arr, *volume, str.strip),
-        _ints(arr, *timestamp) / _MICROSECONDS_PER_SECOND,
+        _ticks_to_seconds(_ints(arr, *timestamp), _MICROSECONDS_PER_SECOND),
         _ints(arr, *offset),
         _ints(arr, *length),
         _per_token(buf, arr, *opcode, _is_write),
@@ -442,11 +446,11 @@ def _msrc_columns(buf: bytes, arr: np.ndarray, fields):
     timestamp, hostname, disk, optype, offset, size, response = fields
     return (
         _per_token(buf, arr, hostname[0], disk[1], _msrc_volume),
-        _ints(arr, *timestamp) / _FILETIME_TICKS_PER_SECOND,
+        _ticks_to_seconds(_ints(arr, *timestamp), _FILETIME_TICKS_PER_SECOND),
         _ints(arr, *offset),
         _ints(arr, *size),
         _per_token(buf, arr, *optype, _is_write),
-        _ints(arr, *response) / _FILETIME_TICKS_PER_SECOND,
+        _ticks_to_seconds(_ints(arr, *response), _FILETIME_TICKS_PER_SECOND),
     )
 
 
@@ -847,11 +851,13 @@ def read_dataset_dir_chunked(
     split_rows: int = 0,
     backend: Optional[Any] = None,
 ) -> TraceDataset:
-    """Chunked-parse replacement for :func:`repro.trace.reader.read_dataset_dir`.
+    """Read every ``.csv``/``.csv.gz`` trace file in a directory as one
+    :class:`~repro.trace.dataset.TraceDataset`: the one text-to-dataset path.
 
-    Produces an identical :class:`~repro.trace.dataset.TraceDataset` (same
-    volumes, same arrays) but parses each file in columnar batches and can
-    fan files out across ``workers`` processes.  It is a fold on the
+    Parses each file in columnar batches (the rows the row readers in
+    :mod:`repro.trace.reader` yield, as arrays) and can fan files out
+    across ``workers`` processes.  ``name`` defaults to the directory
+    basename; ``fmt`` is ``"alicloud"`` or ``"msrc"``.  It is a fold on the
     engine's file driver (:func:`repro.engine.runner.run_files` runs the
     same one): a column-collecting analyzer keeps every chunk, and the
     merged per-volume columns are concatenated in canonical (file, range)

@@ -74,7 +74,10 @@ UPGRADEABLE_VERSIONS = frozenset({2})
 #: v2: line 1 is a header only with the format's field count, requests
 #: ending past int64 are rejected, and an opcode with a trailing NUL is
 #: malformed; v1 entries may hold rows parsed the old way.
-PARSER_VERSION = 2
+#: v3: a batch parsed row by row rounds each tick count to float64 before
+#: dividing, as the byte parser does; v2 fallback batches could differ in
+#: the last bit of 19-digit timestamps.
+PARSER_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 

@@ -23,9 +23,6 @@ from .reader import (
     TraceFormatError,
     iter_alicloud_requests,
     iter_msrc_requests,
-    read_alicloud,
-    read_dataset_dir,
-    read_msrc,
 )
 from .record import DEFAULT_BLOCK_SIZE, SECTOR_SIZE, IORequest, OpType
 from .sampling import SampledTrace, interval_features, select_representatives
@@ -48,9 +45,6 @@ __all__ = [
     "TraceFormatError",
     "iter_alicloud_requests",
     "iter_msrc_requests",
-    "read_alicloud",
-    "read_msrc",
-    "read_dataset_dir",
     "write_alicloud",
     "write_msrc",
     "write_dataset_dir",

@@ -13,6 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 __all__ = ["OpType", "IORequest", "SECTOR_SIZE", "DEFAULT_BLOCK_SIZE"]
 
 #: Granularity at which devices address data; offsets/sizes in real traces
@@ -26,6 +28,24 @@ DEFAULT_BLOCK_SIZE = 4096
 
 #: Largest byte a request may touch: columns and block math are int64.
 _INT64_MAX = 2**63 - 1
+
+#: Timestamp ticks per second: AliCloud microseconds, MSRC Windows
+#: filetime (100 ns).
+_MICROSECONDS_PER_SECOND = 1_000_000
+_FILETIME_TICKS_PER_SECOND = 10_000_000
+
+
+def _ticks_to_seconds(ticks, ticks_per_second: int):
+    """Seconds from a tick count: a Python ``int`` or an int64 array.
+
+    The count is rounded to float64 first and then divided, as NumPy
+    divides an int64 array.  Exact ``int / int`` rounds only once and
+    differs in the last bit for about a fifth of 19-digit filetimes, so
+    both parse paths (byte parser and row parsers) convert through here.
+    """
+    if isinstance(ticks, np.ndarray):
+        return ticks.astype(np.float64) / ticks_per_second
+    return float(ticks) / ticks_per_second
 
 
 class OpType(enum.Enum):

@@ -10,11 +10,9 @@ from typing import TextIO
 import numpy as np
 
 from .dataset import TraceDataset
+from .record import _FILETIME_TICKS_PER_SECOND, _MICROSECONDS_PER_SECOND
 
 __all__ = ["write_alicloud", "write_msrc", "write_dataset_dir"]
-
-_FILETIME_TICKS_PER_SECOND = 10_000_000
-_MICROSECONDS_PER_SECOND = 1_000_000
 
 
 def _open_for_write(path: str) -> TextIO:

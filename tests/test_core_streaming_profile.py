@@ -1,33 +1,49 @@
-"""Tests for repro.core.streaming_profile."""
+"""Tests for the streaming volume profile: the ``StreamingProfileAnalyzer`` fold.
+
+Exact counters are checked against the in-memory ``VolumeTrace`` counters,
+estimates against the exact ``working_sets`` and ``interarrival_times``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    StreamingVolumeProfiler,
-    interarrival_times,
-    stream_profile_requests,
-    working_sets,
+from repro.core import interarrival_times, working_sets
+from repro.engine import (
+    Chunk,
+    LoadIntensityAnalyzer,
+    RowPredicate,
+    StreamingProfileAnalyzer,
+    StreamingVolumeProfile,
+    run,
+    run_dataset,
 )
-from repro.trace import IORequest, OpType
+from repro.trace import TraceDataset
 
 from conftest import make_trace
 
 BS = 4096
 
 
-def requests_of(trace):
-    return list(trace.iter_requests())
+def profile_of(trace, analyzer=None, chunk_size=2):
+    """The fold's profile of one in-memory volume (small chunks, so the
+    cross-chunk merge paths run)."""
+    result = run_dataset(
+        TraceDataset("t", {trace.volume_id: trace}),
+        [analyzer or StreamingProfileAnalyzer()],
+        chunk_size=chunk_size,
+    )
+    return result.analyzer("streaming_profile")[trace.volume_id]
 
 
 class TestStreamingVolumeProfiler:
+    """One volume through the fold."""
+
     def test_exact_counters(self):
         tr = make_trace(
             sizes=[BS, 2 * BS, BS, BS], is_write=[True, False, True, False]
         )
-        p = StreamingVolumeProfiler("v0")
-        p.add_many(requests_of(tr))
-        profile = p.profile()
+        profile = profile_of(tr)
+        assert isinstance(profile, StreamingVolumeProfile)
         assert profile.n_requests == 4
         assert profile.n_writes == 2
         assert profile.write_bytes == 2 * BS
@@ -35,26 +51,40 @@ class TestStreamingVolumeProfiler:
         assert profile.start_time == 0.0 and profile.end_time == 3.0
         assert profile.duration == 3.0
 
-    def test_rejects_foreign_volume(self):
-        p = StreamingVolumeProfiler("a")
-        with pytest.raises(ValueError, match="fed to profiler"):
-            p.add(IORequest("b", OpType.READ, 0, 512, 0.0))
-
     def test_rejects_out_of_order(self):
-        p = StreamingVolumeProfiler("v")
-        p.add(IORequest("v", OpType.READ, 0, 512, 5.0))
-        with pytest.raises(ValueError, match="timestamp order"):
-            p.add(IORequest("v", OpType.READ, 0, 512, 4.0))
+        analyzer = StreamingProfileAnalyzer()
+        state = analyzer.init_state("v")
 
-    def test_empty_profile_raises(self):
-        with pytest.raises(ValueError, match="no requests"):
-            StreamingVolumeProfiler("v").profile()
+        def chunk(ts):
+            return Chunk("v", np.array([ts]), np.array([0]), np.array([512]),
+                         np.array([False]))
+
+        state = analyzer.consume(state, chunk(5.0))
+        with pytest.raises(ValueError, match="timestamp order"):
+            analyzer.consume(state, chunk(4.0))
+
+    def test_empty_after_predicate_profile(self):
+        # A predicate that leaves a volume no rows drops it from the run's
+        # profiles instead of raising; an empty state finalizes to zeros.
+        tr = make_trace(is_write=[True, True, True, True])
+        reads_only = StreamingProfileAnalyzer(row_predicate=RowPredicate(op="read"))
+        result = run_dataset(TraceDataset("t", {"v0": tr}), [reads_only, LoadIntensityAnalyzer()])
+        assert result.analyzer("load_intensity")["v0"].n_requests == 4
+        assert result.analyzer("streaming_profile") == {}
+        profile = reads_only.finalize(reads_only.init_state("v0"))
+        assert profile.volume_id == "v0"
+        assert (profile.n_requests, profile.n_reads, profile.n_writes) == (0, 0, 0)
+        assert (profile.read_bytes, profile.write_bytes) == (0, 0)
+        assert np.isnan(profile.start_time) and np.isnan(profile.end_time)
+        assert profile.wss_total_bytes == 0.0
+        assert profile.size_percentiles == {} and profile.interarrival_percentiles == {}
+        assert profile.average_intensity == 0.0
+        assert np.isnan(profile.write_read_ratio)
+        assert np.isnan(profile.read_wss_fraction)
 
     def test_wss_estimates_match_exact(self, tiny_ali):
         vol = max(tiny_ali.non_empty_volumes(), key=len)
-        p = StreamingVolumeProfiler(vol.volume_id)
-        p.add_many(requests_of(vol))
-        profile = p.profile()
+        profile = profile_of(vol, chunk_size=997)
         exact = working_sets(vol)
         assert profile.wss_total_bytes == pytest.approx(exact.total, rel=0.05)
         assert profile.wss_write_bytes == pytest.approx(exact.write, rel=0.05)
@@ -63,9 +93,7 @@ class TestStreamingVolumeProfiler:
 
     def test_percentile_estimates_match_exact(self, tiny_ali):
         vol = max(tiny_ali.non_empty_volumes(), key=len)
-        p = StreamingVolumeProfiler(vol.volume_id, reservoir_size=8192, seed=1)
-        p.add_many(requests_of(vol))
-        profile = p.profile()
+        profile = profile_of(vol, StreamingProfileAnalyzer(reservoir_size=8192), chunk_size=997)
         exact_median_size = float(np.median(vol.sizes))
         # Sizes are drawn from a few discrete values; the reservoir median
         # must land on the right one.
@@ -76,47 +104,47 @@ class TestStreamingVolumeProfiler:
         )
 
     def test_derived_properties(self):
-        tr = make_trace(timestamps=[0.0, 10.0], offsets=[0, BS], sizes=[BS, BS], is_write=[True, True])
-        p = StreamingVolumeProfiler("v0")
-        p.add_many(requests_of(tr))
-        profile = p.profile()
+        tr = make_trace(timestamps=[0.0, 10.0], offsets=[0, BS], sizes=[BS, BS],
+                        is_write=[True, True])
+        profile = profile_of(tr)
         assert profile.average_intensity == pytest.approx(0.2)
         assert profile.write_read_ratio == float("inf")
         assert profile.read_wss_fraction == pytest.approx(0.0, abs=0.05)
 
 
 class TestStreamProfileRequests:
+    """Multi-volume datasets and trace files through the fold."""
+
     def test_multi_volume_stream(self, simple_dataset):
-        # Interleave the two volumes in global time order.
-        merged = sorted(
-            (r for v in simple_dataset.volumes() for r in v.iter_requests()),
-            key=lambda r: r.timestamp,
-        )
-        profiles = stream_profile_requests(merged)
+        profiles = run_dataset(
+            simple_dataset, [StreamingProfileAnalyzer()], chunk_size=1
+        ).analyzer("streaming_profile")
         assert set(profiles) == {"v0", "v1"}
         assert profiles["v0"].n_requests == 4
         assert profiles["v1"].n_requests == 2
         assert profiles["v1"].n_writes == 0
 
     def test_matches_columnar_counters(self, tiny_ali):
-        merged = sorted(
-            (r for v in tiny_ali.non_empty_volumes() for r in v.iter_requests()),
-            key=lambda r: r.timestamp,
-        )
-        profiles = stream_profile_requests(merged)
+        profiles = run_dataset(
+            tiny_ali, [StreamingProfileAnalyzer()], chunk_size=501
+        ).analyzer("streaming_profile")
         total = sum(p.n_requests for p in profiles.values())
         assert total == tiny_ali.n_requests
         for vid, profile in profiles.items():
             vol = tiny_ali[vid]
+            assert profile.n_reads == vol.n_reads
             assert profile.n_writes == vol.n_writes
             assert profile.read_bytes == vol.read_bytes
+            assert profile.write_bytes == vol.write_bytes
+            assert profile.start_time == vol.start_time
+            assert profile.end_time == vol.end_time
 
     def test_from_trace_file(self, tiny_ali, tmp_path):
-        """End-to-end: file -> streaming iterator -> profiles, no
-        columnar materialization."""
-        from repro.trace import iter_alicloud_requests, write_alicloud
+        """End-to-end: file -> chunked parse -> profiles, no dataset
+        materialization."""
+        from repro.trace import write_alicloud
 
         path = str(tmp_path / "fleet.csv")
         write_alicloud(tiny_ali, path)
-        profiles = stream_profile_requests(iter_alicloud_requests(path))
+        profiles = run([path], [StreamingProfileAnalyzer()]).analyzer("streaming_profile")
         assert sum(p.n_requests for p in profiles.values()) == tiny_ali.n_requests

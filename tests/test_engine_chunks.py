@@ -7,6 +7,7 @@ messages and line numbers.
 
 import gzip
 import json
+import os
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from repro.trace.reader import (
     TraceFormatError,
     iter_alicloud_requests,
     iter_msrc_requests,
-    read_dataset_dir,
 )
 
 from conftest import TEST_SCALE, make_trace
@@ -143,6 +143,7 @@ MALFORMED_ALI = [
     "v0,R,-1,4096,100",  # negative offset
     "v0,R,0,0,100",  # non-positive size
     "v0,R,12.0,4096,100",  # non-integer offset
+    "v0,R,0,4096," + "9" * 320,  # timestamp past the float64 range
 ]
 
 
@@ -279,18 +280,23 @@ class TestReadDatasetDirChunked:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_identical_to_row_reader(self, fleet_dir, workers):
-        legacy = read_dataset_dir(fleet_dir, fmt="alicloud")
+        # Expected: the row reader's requests, grouped by volume in order of
+        # first appearance over the sorted files.
+        rows = {}
+        for path in list_trace_files(fleet_dir):
+            for req in iter_alicloud_requests(path):
+                rows.setdefault(req.volume, []).append(req)
         chunked = read_dataset_dir_chunked(
             fleet_dir, fmt="alicloud", chunk_size=97, workers=workers
         )
-        assert chunked.name == legacy.name
-        assert chunked.volume_ids() == legacy.volume_ids()
-        for vid, trace in legacy.items():
+        assert chunked.name == os.path.basename(fleet_dir)
+        assert chunked.volume_ids() == list(rows)
+        for vid, reqs in rows.items():
             got = chunked[vid]
-            assert got.timestamps.tolist() == trace.timestamps.tolist()
-            assert got.offsets.tolist() == trace.offsets.tolist()
-            assert got.sizes.tolist() == trace.sizes.tolist()
-            assert got.is_write.tolist() == trace.is_write.tolist()
+            assert got.timestamps.tolist() == [r.timestamp for r in reqs]
+            assert got.offsets.tolist() == [r.offset for r in reqs]
+            assert got.sizes.tolist() == [r.size for r in reqs]
+            assert got.is_write.tolist() == [r.is_write for r in reqs]
 
     def test_volume_split_across_files(self, tmp_path):
         # Same volume in two files: sorted-path merge keeps time order.

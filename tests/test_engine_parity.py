@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import stream_profile_requests, working_sets
+from repro.core import working_sets
 from repro.core.load_intensity import (
     average_intensity,
     peak_intensity,
@@ -145,26 +145,24 @@ class TestExactCounterParity:
             assert got.write_bytes == pytest.approx(exact.write, rel=0.05)
 
     def test_streaming_profile_matches_legacy_profiler(self, tiny_ali, ali_engine):
-        legacy = stream_profile_requests(
-            (r for v in tiny_ali.non_empty_volumes() for r in v.iter_requests()),
-            block_size=BS,
-        )
         results = ali_engine.analyzer("streaming_profile")
-        assert set(results) == set(legacy)
-        for vid, want in legacy.items():
-            got = results[vid]
-            # Exact counters are bit-identical to the legacy profiler.
-            assert got.n_requests == want.n_requests
-            assert got.n_reads == want.n_reads
-            assert got.n_writes == want.n_writes
-            assert got.read_bytes == want.read_bytes
-            assert got.write_bytes == want.write_bytes
-            assert got.start_time == want.start_time
-            assert got.end_time == want.end_time
-            # Sketch-backed estimates agree within sketch tolerance (the
-            # two sides use independently-seeded sketches).
-            assert got.wss_total_bytes == pytest.approx(want.wss_total_bytes, rel=0.05)
-            assert got.wss_write_bytes == pytest.approx(want.wss_write_bytes, rel=0.05)
+        assert set(results) == {v.volume_id for v in tiny_ali.non_empty_volumes()}
+        for trace in tiny_ali.non_empty_volumes():
+            got = results[trace.volume_id]
+            # Exact counters are bit-identical to the in-memory trace's.
+            assert got.n_requests == len(trace)
+            assert got.n_reads == trace.n_reads
+            assert got.n_writes == trace.n_writes
+            assert got.read_bytes == trace.read_bytes
+            assert got.write_bytes == trace.write_bytes
+            assert got.start_time == trace.start_time
+            assert got.end_time == trace.end_time
+            # HLL working sets agree with the exact ones within sketch
+            # tolerance.
+            exact = working_sets(trace, BS)
+            assert got.wss_total_bytes == pytest.approx(exact.total, rel=0.05)
+            assert got.wss_read_bytes == pytest.approx(exact.read, rel=0.05)
+            assert got.wss_write_bytes == pytest.approx(exact.write, rel=0.05)
 
 
 class TestMsrcParity:

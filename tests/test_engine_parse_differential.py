@@ -198,13 +198,12 @@ def _assert_rows_equal(chunks, requests):
         assert offsets.tolist() == [r.offset for r in reqs]
         assert sizes.tolist() == [r.size for r in reqs]
         assert is_write.tolist() == [r.is_write for r in reqs]
-        # Fast-path batches divide int64 timestamps in float64, the row
-        # parser divides Python ints: equal below 2**53, 1 ulp apart at most.
-        np.testing.assert_array_max_ulp(timestamps, [r.timestamp for r in reqs], maxulp=1)
+        # Both paths round the tick count to float64, then divide.
+        assert timestamps.tolist() == [r.timestamp for r in reqs]
         if reqs[0].response_time is None:
             assert response is None
         else:
-            np.testing.assert_array_max_ulp(response, [r.response_time for r in reqs], maxulp=1)
+            assert response.tolist() == [r.response_time for r in reqs]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -275,6 +274,28 @@ def test_long_timestamps_divide_as_int64(tmp_path):
     want = np.array(raw, dtype=np.int64) / 10**7
     assert chunk.timestamps.tobytes() == want.tobytes()
     assert chunk.response_times.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("policy", ["strict", "skip"])
+def test_fallback_batch_timestamps_match_the_fast_path(tmp_path, policy):
+    # One padded offset (strict) or one malformed line (skip) sends the
+    # whole batch through the row parser; its 19-digit filetimes must
+    # still parse to the fast path's values.
+    raw = np.random.default_rng(5).integers(10**18, INT64_MAX, size=200)
+    lines = [f"{t},h,0,Read,4096,512,{t}\n" for t in raw]
+    clean = tmp_path / "clean.csv"
+    clean.write_text("".join(lines))
+    if policy == "strict":
+        lines[5] = lines[5].replace(",4096,", ", 4096,")
+    else:
+        lines.insert(5, "not,a,trace,line\n")
+    fallback = tmp_path / "fallback.csv"
+    fallback.write_text("".join(lines))
+    (want,) = iter_chunks(str(clean), "msrc")
+    (got,) = iter_chunks(str(fallback), "msrc", on_error=policy)
+    assert got.offsets.tolist() == want.offsets.tolist()
+    assert got.timestamps.tobytes() == want.timestamps.tobytes()
+    assert got.response_times.tobytes() == want.response_times.tobytes()
 
 
 def test_invalid_utf8_raises(tmp_path):

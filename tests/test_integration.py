@@ -19,7 +19,8 @@ from repro.core import (
     randomness_ratio,
     update_coverage,
 )
-from repro.trace import read_alicloud, write_alicloud
+from repro.engine import read_dataset_dir_chunked
+from repro.trace import write_alicloud
 from repro.trace.blocks import block_events
 
 
@@ -30,7 +31,7 @@ class TestGenerateAnalyzeRoundTrip:
     def test_metrics_survive_serialization(self, tiny_ali, tmp_path):
         path = str(tmp_path / "fleet.csv")
         write_alicloud(tiny_ali, path)
-        back = read_alicloud(path, name=tiny_ali.name)
+        back = read_dataset_dir_chunked(str(tmp_path), name=tiny_ali.name)
         # Timestamps quantize to microseconds in the file; counts and
         # byte-exact metrics are preserved.
         assert back.n_requests == tiny_ali.n_requests

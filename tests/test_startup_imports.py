@@ -1,9 +1,13 @@
 """Start-up import guard: no ``repro`` command pays for what it does not run.
 
-The package ``__init__``s re-export eagerly, so a module-level import of a
-heavy optional dependency anywhere under ``repro`` is paid by every
+The subpackage ``__init__``s re-export eagerly, so a module-level import
+of a heavy optional dependency anywhere under ``repro`` is paid by every
 command.  Each case below runs in a fresh interpreter and fails if scipy
 or the lint driver got loaded on the way.
+
+The same harness enforces the layering in DESIGN.md ("Layers"): the
+package root, the engine, the store and ``stream-analyze`` load nothing
+from the metric, simulator, generator or lint layers above them.
 """
 
 import json
@@ -24,6 +28,9 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 #: Module-name prefixes no start-up path may load.
 FORBIDDEN = ("scipy", "repro.checks.driver")
 
+#: Packages above the engine and store; nothing below them may load one.
+UPPER_LAYERS = ("repro.core", "repro.cache", "repro.synth", "repro.cluster", "repro.checks")
+
 STATS_ALL = [
     "EmpiricalCDF", "BoxplotStats", "PAPER_PERCENTILES", "percentile_table",
     "percentile_groups", "Histogram", "linear_histogram", "log_histogram",
@@ -36,8 +43,7 @@ STATS_ALL = [
 TRACE_ALL = [
     "DEFAULT_BLOCK_SIZE", "SECTOR_SIZE", "IORequest", "OpType", "TraceDataset",
     "VolumeTrace", "TraceFormatError", "iter_alicloud_requests",
-    "iter_msrc_requests", "read_alicloud", "read_msrc", "read_dataset_dir",
-    "write_alicloud", "write_msrc", "write_dataset_dir", "filter_volumes",
+    "iter_msrc_requests", "write_alicloud", "write_msrc", "write_dataset_dir", "filter_volumes",
     "filter_time_range", "reads_only", "writes_only", "rebase_timestamps",
     "split_days", "top_traffic_volume_ids", "ValidationIssue",
     "ValidationReport", "validate_volume", "validate_dataset",
@@ -47,13 +53,13 @@ TRACE_ALL = [
 ]
 
 
-def _loaded_after(code: str) -> list:
+def _loaded_after(code: str, forbidden=FORBIDDEN) -> list:
     """Forbidden modules in ``sys.modules`` after ``code`` runs in a fresh process."""
     script = textwrap.dedent(code) + textwrap.dedent(
         f"""
         import json, sys
         print(json.dumps(sorted(
-            m for m in sys.modules if m.startswith({FORBIDDEN!r})
+            m for m in sys.modules if m.startswith({tuple(forbidden)!r})
         )))
         """
     )
@@ -95,6 +101,26 @@ def test_stream_analyze_skips_heavy_modules(fleets):
     argv = ["stream-analyze", ali, "--no-store", "--workers", "1", "--no-ledger",
             "--output", os.path.join(root, "stream.json")]
     assert _loaded_after(f"import repro.cli; repro.cli.main({argv!r})") == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import repro", "import repro.engine", "import repro.store"],
+    ids=["import-repro", "import-engine", "import-store"],
+)
+def test_lower_layers_load_no_upper_layer(code):
+    assert _loaded_after(code, UPPER_LAYERS) == []
+
+
+def test_stream_analyze_loads_no_upper_layer(fleets):
+    ali, _, root = fleets
+    argv = ["stream-analyze", ali, "--no-store", "--workers", "1", "--no-ledger",
+            "--output", os.path.join(root, "stream-layers.json")]
+    assert _loaded_after(f"import repro.cli; repro.cli.main({argv!r})", UPPER_LAYERS) == []
+
+
+def test_package_root_exports_only_its_version():
+    assert repro.__all__ == ["__version__"]
 
 
 def test_findings_skips_heavy_modules(fleets):

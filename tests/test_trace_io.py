@@ -1,4 +1,8 @@
-"""Tests for repro.trace.reader and repro.trace.writer (round trips)."""
+"""Tests for repro.trace.reader and repro.trace.writer (round trips).
+
+Whole files and directories read back through
+:func:`repro.engine.read_dataset_dir_chunked`, the one text-to-dataset path.
+"""
 
 import gzip
 import os
@@ -6,14 +10,12 @@ import os
 import numpy as np
 import pytest
 
+from repro.engine import read_dataset_dir_chunked
 from repro.trace import (
     TraceDataset,
     TraceFormatError,
     iter_alicloud_requests,
     iter_msrc_requests,
-    read_alicloud,
-    read_dataset_dir,
-    read_msrc,
     write_alicloud,
     write_dataset_dir,
     write_msrc,
@@ -53,7 +55,7 @@ class TestAliCloudReader:
     def test_read_groups_by_volume(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(ALICLOUD_LINES)
-        ds = read_alicloud(str(path))
+        ds = read_dataset_dir_chunked(str(tmp_path), fmt="alicloud")
         assert ds.n_volumes == 2
         assert ds["1"].n_requests == 2
         assert ds["2"].n_requests == 1
@@ -106,7 +108,7 @@ class TestMSRCReader:
     def test_read_volume_ids(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(MSRC_LINES)
-        ds = read_msrc(str(path))
+        ds = read_dataset_dir_chunked(str(tmp_path), fmt="msrc")
         assert sorted(ds.volume_ids()) == ["src1_0", "web2_1"]
 
 
@@ -129,7 +131,7 @@ class TestRoundTrips:
         ds = self._dataset()
         path = str(tmp_path / "out.csv")
         write_alicloud(ds, path)
-        back = read_alicloud(path)
+        back = read_dataset_dir_chunked(str(tmp_path), fmt="alicloud")
         assert back.n_volumes == 2
         for vid in ds.volume_ids():
             assert np.array_equal(back[vid].offsets, ds[vid].offsets)
@@ -150,7 +152,7 @@ class TestRoundTrips:
         )
         path = str(tmp_path / "out.csv")
         write_msrc(ds, path)
-        back = read_msrc(path)
+        back = read_dataset_dir_chunked(str(tmp_path), fmt="msrc")
         assert back.volume_ids() == ["srv_0"]
         assert np.array_equal(back["srv_0"].offsets, ds["srv_0"].offsets)
 
@@ -173,7 +175,8 @@ class TestRoundTrips:
         d = str(tmp_path / "fleet")
         write_dataset_dir(ds, d, fmt="alicloud")
         assert sorted(os.listdir(d)) == ["7.csv", "9.csv"]
-        back = read_dataset_dir(d, fmt="alicloud", name="rt")
+        back = read_dataset_dir_chunked(d, fmt="alicloud", name="rt")
+        assert back.name == "rt"
         assert back.n_requests == ds.n_requests
 
     def test_dataset_dir_compressed(self, tmp_path):
@@ -181,14 +184,14 @@ class TestRoundTrips:
         d = str(tmp_path / "fleet")
         write_dataset_dir(ds, d, fmt="alicloud", compress=True)
         assert all(f.endswith(".csv.gz") for f in os.listdir(d))
-        back = read_dataset_dir(d, fmt="alicloud")
+        back = read_dataset_dir_chunked(d, fmt="alicloud")
         assert back.n_requests == ds.n_requests
 
     def test_dataset_dir_empty_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            read_dataset_dir(str(tmp_path), fmt="alicloud")
+            read_dataset_dir_chunked(str(tmp_path), fmt="alicloud")
 
     def test_dataset_dir_bad_format(self, tmp_path):
         (tmp_path / "a.csv").write_text("")
         with pytest.raises(ValueError, match="unknown trace format"):
-            read_dataset_dir(str(tmp_path), fmt="nope")
+            read_dataset_dir_chunked(str(tmp_path), fmt="nope")

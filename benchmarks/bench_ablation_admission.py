@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.cache import LRUCache, TypeAwareAdmissionCache, simulate_stream
 from repro.core import format_table
-from repro.trace.blocks import block_events
+from repro.trace.blocks import block_view
 
 from conftest import run_once
 
@@ -25,7 +25,7 @@ def test_ablation_type_aware_admission(benchmark, ali):
     def compute():
         rows = []
         for vol in volumes:
-            ev = block_events(vol)
+            ev = block_view(vol)
             wss = len(np.unique(ev.block_id))
             cap = max(1, int(CACHE_FRACTION * wss))
             plain = simulate_stream(ev.block_id, ev.is_write, LRUCache(cap))

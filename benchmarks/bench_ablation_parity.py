@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.cluster import StripeLayout, compare_parity_schemes
 from repro.core import format_table, update_coverage
-from repro.trace.blocks import block_events
+from repro.trace.blocks import block_view
 
 from conftest import run_once
 
@@ -32,8 +32,9 @@ def test_ablation_parity_schemes(benchmark, ali):
     def compute():
         out = {}
         for coverage, vol in picks:
-            ev = block_events(vol).writes()
-            _, inverse = np.unique(ev.block_id, return_inverse=True)
+            view = block_view(vol)
+            writes = view.block_id[view.is_write]
+            _, inverse = np.unique(writes, return_inverse=True)
             blocks = inverse[:MAX_WRITES].tolist()
             out[(vol.volume_id, round(coverage, 3))] = compare_parity_schemes(
                 blocks, LAYOUT, buffer_writes=1024, log_capacity=16

@@ -11,7 +11,7 @@ import numpy as np
 from repro.cache import mrc_from_stream, shards_mrc
 from repro.core import format_table
 from repro.trace import top_traffic_volume_ids
-from repro.trace.blocks import block_events
+from repro.trace.blocks import block_view
 
 from conftest import run_once
 
@@ -25,7 +25,7 @@ def test_ablation_shards_error(benchmark, ali):
     def compute():
         rows = []
         for vol in volumes:
-            blocks = block_events(vol).block_id
+            blocks = block_view(vol).block_id
             wss = len(np.unique(blocks))
             caps = [max(1, int(f * wss)) for f in CAPACITY_FRACTIONS]
             exact = mrc_from_stream(blocks)

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.cluster import SSDGeometry, compare_wear_leveling
 from repro.core import format_table, update_coverage
-from repro.trace.blocks import block_events
+from repro.trace.blocks import block_view
 
 from conftest import run_once
 
@@ -22,8 +22,9 @@ def test_ablation_wear_leveling(benchmark, ali):
     # The most update-intensive volume with a meaningful write stream.
     candidates = [v for v in ali.non_empty_volumes() if v.n_writes > 5000]
     volume = max(candidates, key=update_coverage)
-    ev = block_events(volume).writes()
-    _, inverse = np.unique(ev.block_id, return_inverse=True)
+    view = block_view(volume)
+    writes = view.block_id[view.is_write]
+    _, inverse = np.unique(writes, return_inverse=True)
     writes = inverse[:60000].tolist()
     geometry = SSDGeometry(n_blocks=64, pages_per_block=32)
 

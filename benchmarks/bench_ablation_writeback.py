@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.cache import simulate_writeback
 from repro.core import format_table
-from repro.trace.blocks import block_events
+from repro.trace.blocks import block_view
 
 from conftest import run_once
 
@@ -25,7 +25,7 @@ def _absorption(ds, fraction):
     for vol in ds.non_empty_volumes():
         if vol.n_writes < 100:
             continue
-        wss = len(np.unique(block_events(vol).block_id))
+        wss = len(np.unique(block_view(vol).block_id))
         stats = simulate_writeback(vol, max(1, int(fraction * wss)))
         ratios.append(stats.write_absorption_ratio)
     return np.asarray(ratios)

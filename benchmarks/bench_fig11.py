@@ -32,7 +32,7 @@ def test_fig11_topk_aggregation(benchmark, ali, msrc):
 
     results = run_once(benchmark, compute)
     print()
-    for _name, samples in results.items():
+    for name, samples in results.items():
         print(
             format_boxplot_rows(
                 {f"{op} top-{int(frac * 100)}%": v for (op, frac), v in samples.items()},

@@ -45,7 +45,7 @@ def test_fig17_update_interval_groups(benchmark, ali, msrc):
 
     results = run_once(benchmark, compute)
     print()
-    for _name, fracs in results.items():
+    for name, fracs in results.items():
         print(
             format_boxplot_rows(
                 {label: fracs[:, i] for i, label in enumerate(GROUP_LABELS)},

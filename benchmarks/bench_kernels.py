@@ -7,6 +7,9 @@ Each lane names the repository-benchmark layer (``benchmarks/suite``,
 traced pass) its kernel feeds; a kernel win counts once it shows there:
 
 * request-to-block expansion -> ``trace.blocks.expand_to_blocks``,
+* the block view and every block metric reduced from it (one stable sort
+  per volume) -> ``core.findings.evaluate_findings``; the lane checks a
+  small trace against the naive replay in ``tests/block_oracle.py``,
 * randomness-ratio computation (32-lag sliding-window minimum) ->
   ``core.compute_profile`` and ``core.findings.evaluate_findings``,
 * exact reuse distances (merge-sort inversion count) and LRU miss ratios
@@ -27,11 +30,16 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py``;
 add ``--benchmark-disable`` to run each lane once as a correctness smoke.
 """
 
+import math
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from repro.cache import LRUCache, reuse_distances, simulate_lru, simulate_stream
 from repro.core import adjacent_access_times, randomness_ratio
+from repro.core.volume_profile import summarize_blocks
 from repro.engine import iter_chunks
 from repro.stats import HyperLogLog
 from repro.trace import VolumeTrace
@@ -55,6 +63,33 @@ def kernel_trace():
 def test_kernel_expand_to_blocks(benchmark, kernel_trace):
     req, blk, nb = benchmark(expand_to_blocks, kernel_trace.offsets, kernel_trace.sizes)
     assert nb.sum() == kernel_trace.sizes.sum()
+
+
+def test_kernel_block_view(benchmark, kernel_trace):
+    summary = benchmark(summarize_blocks, kernel_trace)
+    assert summary.working_sets.total > 0
+
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+    from block_oracle import replay
+
+    rng = np.random.default_rng(12)
+    n = 3000
+    small = VolumeTrace("small", np.sort(rng.integers(0, 500, n)) * 0.5,
+                        rng.integers(0, 2400, n) * 512, rng.choice([512, 4096, 12800], n),
+                        rng.random(n) < 0.6, presorted=True)
+    got, want = summarize_blocks(small), replay(small)
+    ws = got.working_sets
+    assert (ws.total, ws.read, ws.write, ws.update) == want["working_sets"]
+    assert got.update_traffic == want["update_traffic"]
+    assert got.mostly_bytes == want["mostly_bytes"]
+    for key, value in got.top_traffic.items():
+        assert value == want["top"][key] or math.isnan(value) and math.isnan(want["top"][key])
+    assert {k: got.transitions.get(k).tolist() for k in want["transitions"]} == want["transitions"]
+    assert got.update_intervals.tolist() == want["update_intervals"]
+    for r in got.miss_ratios:
+        res = r.result
+        counts = (res.read_hits, res.read_misses, res.write_hits, res.write_misses)
+        assert (r.capacity_blocks, counts) == want["miss"][r.cache_fraction]
 
 
 def test_kernel_randomness_ratio(benchmark, kernel_trace):

@@ -19,7 +19,7 @@ import numpy as np
 from repro.cache import mrc_from_stream, shards_mrc
 from repro.core import format_table
 from repro.synth import Scale, make_alicloud_fleet
-from repro.trace.blocks import block_events
+from repro.trace.blocks import block_view
 
 SCALE = Scale(n_days=8, day_seconds=60.0)
 BUDGET_FRACTION = 0.05  # global cache = 5% of the fleet's working set
@@ -32,14 +32,14 @@ def main() -> None:
     print("Building exact MRCs for the 8 busiest volumes...")
     mrcs, accesses, wss = {}, {}, {}
     for v in volumes:
-        blocks = block_events(v).block_id
+        blocks = block_view(v).block_id
         mrcs[v.volume_id] = mrc_from_stream(blocks)
         accesses[v.volume_id] = len(blocks)
         wss[v.volume_id] = len(np.unique(blocks))
 
     # --- SHARDS validation -------------------------------------------------
     sample = volumes[0]
-    blocks = block_events(sample).block_id
+    blocks = block_view(sample).block_id
     est = shards_mrc(blocks, rate=0.05, seed=3)
     exact = mrcs[sample.volume_id]
     probe = max(1, wss[sample.volume_id] // 10)

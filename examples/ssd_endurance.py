@@ -15,7 +15,7 @@ import numpy as np
 from repro.cluster import PageMappedFTL, SSDGeometry
 from repro.core import format_table, update_coverage
 from repro.synth import Scale, make_alicloud_fleet
-from repro.trace.blocks import block_events
+from repro.trace.blocks import block_view
 
 SCALE = Scale(n_days=8, day_seconds=60.0)
 MAX_WRITES = 40_000
@@ -23,10 +23,11 @@ MAX_WRITES = 40_000
 
 def replay_volume(volume):
     """Replay a volume's (renumbered) write blocks through a fresh FTL."""
-    ev = block_events(volume).writes()
-    if len(ev) == 0:
+    view = block_view(volume)
+    writes = view.block_id[view.is_write]
+    if len(writes) == 0:
         return None
-    blocks, inverse = np.unique(ev.block_id, return_inverse=True)
+    blocks, inverse = np.unique(writes, return_inverse=True)
     n_logical = len(blocks)
     pages_per_block = 64
     # Flash sized to the volume's write working set + 15% headroom.

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["reuse_distances", "INFINITE_DISTANCE"]
+from ..trace.blocks import adjacent_pairs
+
+__all__ = ["reuse_distances", "distances_from_previous", "INFINITE_DISTANCE"]
 
 #: Sentinel distance for first-touch (cold) accesses.
 INFINITE_DISTANCE = -1
@@ -105,25 +107,24 @@ def reuse_distances(blocks: np.ndarray) -> np.ndarray:
     same block, or :data:`INFINITE_DISTANCE` for a first touch.
     """
     blocks = np.asarray(blocks)
-    n = len(blocks)
-    out = np.full(n, INFINITE_DISTANCE, dtype=np.int64)
-    if n < 2:
-        return out
-    order = np.argsort(blocks, kind="stable")
-    ordered = blocks[order]
-    repeat = ordered[1:] == ordered[:-1]
-    del ordered
-    # Within a block's run of the stable order, each access follows its
-    # previous access: park p_i in ``out`` for now.
-    out[order[1:][repeat]] = order[:-1][repeat]
-    del order, repeat
+    previous = np.full(len(blocks), -1, dtype=np.int64)
+    earlier, later = adjacent_pairs(blocks, np.argsort(blocks, kind="stable"))
+    previous[later] = earlier
+    return distances_from_previous(previous)
+
+
+def distances_from_previous(previous: np.ndarray) -> np.ndarray:
+    """:func:`reuse_distances` of the stream whose access *i* last touched
+    its block at position ``previous[i]`` (-1 for a first touch), as
+    :attr:`repro.trace.blocks.BlockView.previous` gives it."""
     # First touches never count towards a later access (p_j = -1 < p_i), so
     # the inversion count runs over the re-accesses alone, in stream order.
-    reuse = np.flatnonzero(out >= 0)
-    prev = out[reuse]
-    counts = _greater_before(prev)
-    gap = np.subtract(reuse, prev, out=prev)
+    reuse = np.flatnonzero(previous >= 0)
+    gap = previous[reuse]
+    counts = _greater_before(gap)
+    np.subtract(reuse, gap, out=gap)
     gap -= counts
     gap -= 1
+    out = np.full(len(previous), INFINITE_DISTANCE, dtype=np.int64)
     out[reuse] = gap
     return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..obs import metrics
 from ..obs.tracing import span
-from ..trace.blocks import block_events
+from ..trace.blocks import block_view
 from ..trace.dataset import VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
 from .base import CachePolicy
@@ -160,6 +160,5 @@ def simulate_trace(
     The trace is expanded to per-block accesses in arrival order (a request
     spanning k blocks produces k accesses); the policy starts cold.
     """
-    ev = block_events(trace, block_size)
-    policy = policy_factory(capacity_blocks)
-    return simulate_stream(ev.block_id, ev.is_write, policy)
+    view = block_view(trace, block_size)
+    return simulate_stream(view.block_id, view.is_write, policy_factory(capacity_blocks))

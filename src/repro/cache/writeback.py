@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 
-from ..trace.blocks import block_events
+from ..trace.blocks import block_view
 from ..trace.dataset import VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
 
@@ -152,9 +152,9 @@ def simulate_writeback(
     absorption ratio reflects steady-state behaviour rather than dirty
     data parked in cache.
     """
-    ev = block_events(trace, block_size)
+    view = block_view(trace, block_size)
     cache = WriteBackCache(capacity_blocks)
-    for block, is_write in zip(ev.block_id.tolist(), ev.is_write.tolist()):
+    for block, is_write in zip(view.block_id.tolist(), view.is_write.tolist()):
         if is_write:
             cache.write(block)
         else:

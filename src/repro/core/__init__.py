@@ -7,15 +7,7 @@ Organized along the paper's three analysis axes — load intensity
 per-volume profiles, the 15 findings, and text reporting.
 """
 
-from ..trace.blocks import (
-    BlockEvents,
-    block_events,
-    block_range,
-    block_traffic,
-    expand_to_blocks,
-    unique_blocks,
-    working_set_size,
-)
+from ..trace.blocks import BlockView, block_range, block_view, expand_to_blocks
 from .aggregate import (
     TIB,
     BasicStatistics,
@@ -89,13 +81,10 @@ from .volume_profile import VolumeProfile, compute_profile
 
 __all__ = [
     # blocks
-    "BlockEvents",
-    "block_events",
+    "BlockView",
+    "block_view",
     "block_range",
-    "block_traffic",
     "expand_to_blocks",
-    "unique_blocks",
-    "working_set_size",
     # load intensity
     "DEFAULT_ACTIVITY_INTERVAL",
     "DEFAULT_PEAK_INTERVAL",

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..stats.cdf import EmpiricalCDF
-from ..trace.dataset import TraceDataset
+from ..trace.blocks import BlockView, block_view
+from ..trace.dataset import TraceDataset, VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
 from .load_intensity import active_days, write_read_ratio
+from .spatial import WorkingSets, _working_sets
 
 __all__ = [
     "BasicStatistics",
@@ -74,17 +76,38 @@ def basic_statistics(
     *Update traffic* is the write traffic to blocks after their first
     write (re-writes); WSS rows count distinct 4 KiB blocks.  The trace
     duration defaults to the observed span rounded up to whole days.
-    ``workers > 1`` fans the per-volume block expansions across a process
+    ``workers > 1`` fans the per-volume block views across a process
     pool; the result is identical for every worker count.
     """
     from ..engine.runner import parallel_map
 
     per_volume = parallel_map(
-        _working_sets_and_update_traffic,
-        dataset.volumes(),
+        _table1_blocks,
+        dataset.non_empty_volumes(),
         workers,
         block_size=block_size,
     )
+    return _basic_statistics(dataset, per_volume, duration_days)
+
+
+def _table1_blocks(trace: VolumeTrace, block_size: int) -> Tuple[WorkingSets, int]:
+    """Working sets and update-traffic bytes of one volume."""
+    view = block_view(trace, block_size)
+    return _working_sets(view), _update_traffic(view)
+
+
+def _update_traffic(view: BlockView) -> int:
+    """Write bytes to each block after its first write."""
+    _, later = view.write_pairs
+    return int(view.nbytes[later].sum())
+
+
+def _basic_statistics(
+    dataset: TraceDataset,
+    per_volume: Iterable[Tuple[WorkingSets, int]],
+    duration_days: Optional[float],
+) -> BasicStatistics:
+    """Table I from each volume's working sets and update traffic."""
     wss_total = wss_read = wss_write = wss_update = 0
     update_traffic = 0
     for ws, upd in per_volume:
@@ -112,44 +135,6 @@ def basic_statistics(
         wss_write_tib=wss_write / TIB,
         wss_update_tib=wss_update / TIB,
     )
-
-
-def _working_sets_and_update_traffic(trace, block_size: int):
-    """Working sets plus update-traffic bytes from one block expansion.
-
-    Update traffic counts, per block, all write bytes beyond the block's
-    first write (the trace arrays are already in time order, so within a
-    stable per-block grouping the first row is the first write).
-    """
-    from ..trace.blocks import block_events
-    from .spatial import WorkingSets
-
-    ev = block_events(trace, block_size)
-    if len(ev) == 0:
-        return WorkingSets(0, 0, 0, 0), 0
-    total = len(np.unique(ev.block_id))
-    read = len(np.unique(ev.block_id[~ev.is_write]))
-    wmask = ev.is_write
-    wblocks = ev.block_id[wmask]
-    if len(wblocks):
-        order = np.argsort(wblocks, kind="stable")
-        blocks_sorted = wblocks[order]
-        nbytes_sorted = ev.nbytes[wmask][order]
-        first_touch = np.ones(len(blocks_sorted), dtype=bool)
-        first_touch[1:] = blocks_sorted[1:] != blocks_sorted[:-1]
-        write = int(first_touch.sum())
-        update_traffic = int(nbytes_sorted[~first_touch].sum())
-        counts = np.diff(np.concatenate([np.where(first_touch)[0], [len(blocks_sorted)]]))
-        update = int(np.count_nonzero(counts > 1))
-    else:
-        write = update = update_traffic = 0
-    ws = WorkingSets(
-        total=total * block_size,
-        read=read * block_size,
-        write=write * block_size,
-        update=update * block_size,
-    )
-    return ws, update_traffic
 
 
 def request_size_cdf(dataset: TraceDataset, op: Optional[str] = None) -> EmpiricalCDF:

@@ -9,15 +9,15 @@ policies replay the stream once per size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from ..cache.base import CachePolicy
 from ..cache.lru import LRUCache
-from ..cache.reuse import INFINITE_DISTANCE, reuse_distances
+from ..cache.reuse import distances_from_previous
 from ..cache.simulator import CacheSimResult, simulate_lru, simulate_stream
-from ..trace.blocks import block_events
+from ..trace.blocks import BlockView, block_view
 from ..trace.dataset import TraceDataset, VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
 
@@ -59,17 +59,25 @@ def volume_miss_ratios(
 ) -> List[VolumeCacheResult]:
     """Simulate caches sized to fractions of the volume's WSS.
 
-    The block-event expansion is shared across cache sizes; capacity is
+    The block view is shared across cache sizes; capacity is
     ``max(1, round(fraction * WSS_blocks))``.  For :class:`LRUCache` the
-    reuse distances are shared too, and the WSS is their first-touch count.
+    reuse distances are shared too.
     """
-    ev = block_events(trace, block_size)
+    return _miss_ratios(
+        block_view(trace, block_size), trace.volume_id, cache_fractions, policy_factory
+    )
+
+
+def _miss_ratios(
+    view: BlockView,
+    volume_id: str,
+    cache_fractions: Sequence[float],
+    policy_factory: Callable[[int], CachePolicy] = LRUCache,
+) -> List[VolumeCacheResult]:
     lru = policy_factory is LRUCache
-    if lru:
-        distances = reuse_distances(ev.block_id)
-        wss_blocks = int(np.count_nonzero(distances == INFINITE_DISTANCE))
-    else:
-        wss_blocks = len(np.unique(ev.block_id)) if len(ev) else 0
+    wss_blocks = len(view.run_starts)
+    if lru and wss_blocks:
+        distances = distances_from_previous(view.previous)
     out: List[VolumeCacheResult] = []
     for frac in cache_fractions:
         if not 0 < frac <= 1:
@@ -78,12 +86,12 @@ def volume_miss_ratios(
             continue
         capacity = max(1, int(round(frac * wss_blocks)))
         if lru:
-            result = simulate_lru(distances, ev.is_write, capacity)
+            result = simulate_lru(distances, view.is_write, capacity)
         else:
-            result = simulate_stream(ev.block_id, ev.is_write, policy_factory(capacity))
+            result = simulate_stream(view.block_id, view.is_write, policy_factory(capacity))
         out.append(
             VolumeCacheResult(
-                volume_id=trace.volume_id,
+                volume_id=volume_id,
                 cache_fraction=frac,
                 capacity_blocks=capacity,
                 result=result,
@@ -114,10 +122,21 @@ def dataset_miss_ratios(
     Volumes without reads (writes) contribute no sample to the read
     (write) distribution at that cache size.
     """
+    return _pool_miss_ratios(
+        (volume_miss_ratios(v, cache_fractions, block_size, policy_factory)
+         for v in dataset.non_empty_volumes()),
+        cache_fractions,
+    )
+
+
+def _pool_miss_ratios(
+    parts: Iterable[List[VolumeCacheResult]], cache_fractions: Sequence[float]
+) -> MissRatioSummary:
+    """Per-op miss-ratio samples from per-volume results, in volume order."""
     read: Dict[float, List[float]] = {float(f): [] for f in cache_fractions}
     write: Dict[float, List[float]] = {float(f): [] for f in cache_fractions}
-    for trace in dataset.volumes():
-        for res in volume_miss_ratios(trace, cache_fractions, block_size, policy_factory):
+    for results in parts:
+        for res in results:
             if res.result.n_reads:
                 read[res.cache_fraction].append(res.read_miss_ratio)
             if res.result.n_writes:

@@ -9,7 +9,7 @@ is the plain reporting path used by ``repro experiments`` and notebooks.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -17,13 +17,13 @@ from ..stats.cdf import EmpiricalCDF
 from ..stats.histogram import duration_group_fractions
 from ..trace.dataset import TraceDataset
 from .aggregate import (
+    _basic_statistics,
     active_days_cdf,
-    basic_statistics,
     request_size_cdf,
     volume_mean_size_cdf,
     write_read_ratio_cdf,
 )
-from .cache_analysis import dataset_miss_ratios
+from .cache_analysis import DEFAULT_CACHE_FRACTIONS, _pool_miss_ratios
 from .load_intensity import (
     active_period_seconds,
     active_volume_timeseries,
@@ -41,17 +41,9 @@ from .report import (
     format_duration,
     format_table,
 )
-from .spatial import (
-    dataset_mostly_traffic,
-    randomness_ratio,
-    topk_block_traffic_fraction,
-    update_coverage,
-)
-from .temporal import (
-    dataset_adjacent_access_times,
-    dataset_update_intervals,
-    update_intervals,
-)
+from .spatial import _pool_mostly, randomness_ratio
+from .temporal import _concat, _pool_transitions
+from .volume_profile import BlockSummary, summarize_blocks
 
 __all__ = ["ExperimentContext", "render_experiments", "EXPERIMENTS"]
 
@@ -76,6 +68,13 @@ class ExperimentContext:
         self.day_seconds = day_seconds
         self.n_days_ali = n_days_ali
         self.n_days_msrc = n_days_msrc
+        self._blocks: Dict[int, List[BlockSummary]] = {}
+
+    def blocks(self, ds: TraceDataset) -> List[BlockSummary]:
+        """Block summaries of ``ds``'s non-empty volumes, computed on first use."""
+        if id(ds) not in self._blocks:
+            self._blocks[id(ds)] = [summarize_blocks(v) for v in ds.non_empty_volumes()]
+        return self._blocks[id(ds)]
 
     @property
     def peak_interval(self) -> float:
@@ -90,8 +89,10 @@ class ExperimentContext:
 
 
 def _table1(ctx: ExperimentContext) -> str:
-    a = basic_statistics(ctx.ali, duration_days=ctx.n_days_ali)
-    m = basic_statistics(ctx.msrc, duration_days=ctx.n_days_msrc)
+    a, m = (
+        _basic_statistics(ds, [(b.working_sets, b.update_traffic) for b in ctx.blocks(ds)], days)
+        for ds, days in ((ctx.ali, ctx.n_days_ali), (ctx.msrc, ctx.n_days_msrc))
+    )
     gib = 1024.0
     rows = [
         ["Number of volumes", a.n_volumes, m.n_volumes],
@@ -257,9 +258,7 @@ def _fig11(ctx: ExperimentContext) -> str:
         samples = {}
         for op in ("read", "write"):
             for frac in (0.01, 0.10):
-                vals = np.array(
-                    [topk_block_traffic_fraction(v, frac, op) for v in ds.non_empty_volumes()]
-                )
+                vals = np.array([b.top_traffic[op, frac] for b in ctx.blocks(ds)])
                 samples[f"{op} top-{int(frac * 100)}%"] = vals[np.isfinite(vals)]
         lines.append(
             format_boxplot_rows(samples, title=f"Fig11 {name}: traffic in hottest blocks")
@@ -268,8 +267,7 @@ def _fig11(ctx: ExperimentContext) -> str:
 
 
 def _fig12_table3(ctx: ExperimentContext) -> str:
-    a = dataset_mostly_traffic(ctx.ali)
-    m = dataset_mostly_traffic(ctx.msrc)
+    a, m = (_pool_mostly(b.mostly_bytes for b in ctx.blocks(ds)) for ds in (ctx.ali, ctx.msrc))
     rows = [
         ["Reads to read-mostly blocks (%)", a.read_to_read_mostly * 100, m.read_to_read_mostly * 100],
         ["Writes to write-mostly blocks (%)", a.write_to_write_mostly * 100, m.write_to_write_mostly * 100],
@@ -280,7 +278,7 @@ def _fig12_table3(ctx: ExperimentContext) -> str:
 def _fig13_table4(ctx: ExperimentContext) -> str:
     rows = []
     for name, ds in ctx.pairs():
-        cov = np.array([update_coverage(v) for v in ds.non_empty_volumes()])
+        cov = np.array([b.working_sets.update_coverage for b in ctx.blocks(ds)])
         cov = cov[np.isfinite(cov)]
         rows.append(
             [name, np.mean(cov) * 100, np.median(cov) * 100, np.percentile(cov, 90) * 100]
@@ -295,7 +293,7 @@ def _fig14_15_table5(ctx: ExperimentContext) -> str:
     lines = []
     rows = []
     for name, ds in ctx.pairs():
-        at = dataset_adjacent_access_times(ds)
+        at = _pool_transitions(b.transitions for b in ctx.blocks(ds))
         counts = at.counts()
         rows.append([name, counts["RAW"], counts["WAW"], counts["RAR"], counts["WAR"]])
         for kind in ("RAW", "WAW", "RAR", "WAR"):
@@ -317,15 +315,15 @@ def _fig16_17_table6(ctx: ExperimentContext) -> str:
     rows = []
     boundaries = [ctx.day_seconds * h / 24.0 for h in (5 / 60, 30 / 60, 240 / 60)]
     for name, ds in ctx.pairs():
-        pooled = dataset_update_intervals(ds)
+        pooled = _concat(b.update_intervals for b in ctx.blocks(ds))
         if len(pooled) == 0:
             continue
         values = np.percentile(pooled, (25, 50, 75, 90, 95))
         rows.append([name] + [format_duration(v) for v in values])
         per_volume = [
-            duration_group_fractions(ui, boundaries)
-            for ui in (update_intervals(v) for v in ds.non_empty_volumes())
-            if len(ui)
+            duration_group_fractions(b.update_intervals, boundaries)
+            for b in ctx.blocks(ds)
+            if len(b.update_intervals)
         ]
         fracs = np.array(per_volume)
         lines.append(
@@ -346,7 +344,7 @@ def _fig16_17_table6(ctx: ExperimentContext) -> str:
 def _fig18(ctx: ExperimentContext) -> str:
     lines = []
     for name, ds in ctx.pairs():
-        mr = dataset_miss_ratios(ds, (0.01, 0.10))
+        mr = _pool_miss_ratios((b.miss_ratios for b in ctx.blocks(ds)), DEFAULT_CACHE_FRACTIONS)
         lines.append(
             format_boxplot_rows(
                 {

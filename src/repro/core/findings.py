@@ -10,13 +10,12 @@ depend on the production environment.  ``evaluate_findings`` returns one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List
 
 import numpy as np
 
-from ..trace.blocks import block_traffic
 from ..trace.dataset import TraceDataset
-from .cache_analysis import dataset_miss_ratios
+from .cache_analysis import DEFAULT_CACHE_FRACTIONS, _pool_miss_ratios
 from .load_intensity import (
     active_period_seconds,
     active_volume_timeseries,
@@ -25,13 +24,9 @@ from .load_intensity import (
     interarrival_percentile_groups,
     overall_intensity,
 )
-from .spatial import (
-    _topk_fraction,
-    dataset_mostly_traffic,
-    randomness_ratio,
-    update_coverage,
-)
-from .temporal import dataset_adjacent_access_times
+from .spatial import _pool_mostly, randomness_ratio
+from .temporal import _concat, _pool_transitions
+from .volume_profile import summarize_blocks
 
 __all__ = ["Finding", "evaluate_findings", "FINDING_TITLES"]
 
@@ -215,20 +210,41 @@ def evaluate_findings(
         )
     )
 
+    def med(arr: np.ndarray) -> float:
+        return float(np.median(arr)) if len(arr) else float("nan")
+
+    def spread(arr: np.ndarray) -> float:
+        if len(arr) < 10:
+            return float("nan")
+        p25, p95 = np.percentile(arr, [25, 95])
+        return float(p95 / max(p25, 1e-9))
+
+    # Findings 9-15 reduce one block summary per volume.  Each side keeps
+    # only the statistics it needs, so one side's pooled arrays are gone
+    # before the next side's are built.
+    def block_side(dataset: TraceDataset) -> Dict[str, Any]:
+        blocks = [summarize_blocks(v, block_size) for v in dataset.non_empty_volumes()]
+        transitions = _pool_transitions(b.transitions for b in blocks)
+        side = {
+            "top10": tuple(
+                _finite([b.top_traffic[op, 0.10] for b in blocks]) for op in ("read", "write")
+            ),
+            "mostly": _pool_mostly(b.mostly_bytes for b in blocks),
+            "coverage": _finite([b.working_sets.update_coverage for b in blocks]),
+            "counts": transitions.counts(),
+            "median": {k: med(transitions.get(k)) for k in ("RAW", "WAW", "RAR", "WAR")},
+            "miss": _pool_miss_ratios((b.miss_ratios for b in blocks), DEFAULT_CACHE_FRACTIONS),
+        }
+        del transitions
+        side["spread"] = spread(_concat(b.update_intervals for b in blocks))
+        return side
+
+    side_a, side_m = block_side(ali), block_side(msrc)
+
     # Finding 9: top-10% blocks absorb far more than 10% of traffic for the
     # median volume, and write aggregation beats read aggregation.
-    def top10(dataset: TraceDataset) -> Tuple[np.ndarray, np.ndarray]:
-        read: List[float] = []
-        write: List[float] = []
-        for v in dataset.volumes():
-            if len(v):
-                _, read_bytes, write_bytes = block_traffic(v, block_size)
-                read.append(_topk_fraction(read_bytes, 0.10))
-                write.append(_topk_fraction(write_bytes, 0.10))
-        return _finite(read), _finite(write)
-
-    r10_a, w10_a = top10(ali)
-    r10_m, w10_m = top10(msrc)
+    r10_a, w10_a = side_a["top10"]
+    r10_m, w10_m = side_m["top10"]
     f9 = (
         float(np.median(w10_a)) > 0.15
         and float(np.median(w10_m)) > 0.15
@@ -248,8 +264,7 @@ def evaluate_findings(
 
     # Finding 10: AliCloud read and write traffic mostly goes to read-mostly
     # and write-mostly blocks; MSRC write aggregation is weak.
-    m_a = dataset_mostly_traffic(ali, block_size=block_size)
-    m_m = dataset_mostly_traffic(msrc, block_size=block_size)
+    m_a, m_m = side_a["mostly"], side_m["mostly"]
     f10 = (
         m_a.read_to_read_mostly > 0.5
         and m_a.write_to_write_mostly > 0.5
@@ -269,8 +284,7 @@ def evaluate_findings(
     )
 
     # Finding 11: AliCloud update coverage higher (median) and diverse.
-    uc_a = _volume_metric(ali, lambda v: update_coverage(v, block_size))
-    uc_m = _volume_metric(msrc, lambda v: update_coverage(v, block_size))
+    uc_a, uc_m = side_a["coverage"], side_m["coverage"]
     f11 = float(np.median(uc_a)) > float(np.median(uc_m)) and float(np.std(uc_a)) > 0.1
     findings.append(
         Finding(
@@ -282,18 +296,14 @@ def evaluate_findings(
     )
 
     # --- Temporal patterns ----------------------------------------------------
-    at_a = dataset_adjacent_access_times(ali, block_size)
-    at_m = dataset_adjacent_access_times(msrc, block_size)
-    counts_a, counts_m = at_a.counts(), at_m.counts()
-
-    def med(arr: np.ndarray) -> float:
-        return float(np.median(arr)) if len(arr) else float("nan")
+    counts_a, counts_m = side_a["counts"], side_m["counts"]
+    med_a, med_m = side_a["median"], side_m["median"]
 
     # Finding 12: RAW time >> WAW time in both; in AliCloud the WAW count
     # is several times the RAW count.
     f12 = (
-        med(at_a.raw) > med(at_a.waw)
-        and med(at_m.raw) > med(at_m.waw)
+        med_a["RAW"] > med_a["WAW"]
+        and med_m["RAW"] > med_m["WAW"]
         and counts_a["WAW"] > 2 * counts_a["RAW"]
     )
     findings.append(
@@ -302,8 +312,8 @@ def evaluate_findings(
             FINDING_TITLES[12],
             f12,
             {
-                "median_raw_s": (med(at_a.raw), med(at_m.raw)),
-                "median_waw_s": (med(at_a.waw), med(at_m.waw)),
+                "median_raw_s": (med_a["RAW"], med_m["RAW"]),
+                "median_waw_s": (med_a["WAW"], med_m["WAW"]),
                 "counts_ali": {k: counts_a[k] for k in ("RAW", "WAW")},
             },
         )
@@ -315,8 +325,8 @@ def evaluate_findings(
         return counts["RAR"] / counts["WAR"] if counts["WAR"] else float("inf")
 
     f13 = (
-        med(at_a.war) > med(at_a.rar)
-        and med(at_m.war) > med(at_m.rar)
+        med_a["WAR"] > med_a["RAR"]
+        and med_m["WAR"] > med_m["RAR"]
         and 0.3 <= count_ratio(counts_a) <= 25
     )
     findings.append(
@@ -325,8 +335,8 @@ def evaluate_findings(
             FINDING_TITLES[13],
             f13,
             {
-                "median_rar_s": (med(at_a.rar), med(at_m.rar)),
-                "median_war_s": (med(at_a.war), med(at_m.war)),
+                "median_rar_s": (med_a["RAR"], med_m["RAR"]),
+                "median_war_s": (med_a["WAR"], med_m["WAR"]),
                 "rar_war_ratio": (count_ratio(counts_a), count_ratio(counts_m)),
             },
         )
@@ -334,26 +344,15 @@ def evaluate_findings(
 
     # Finding 14: update intervals span orders of magnitude within each
     # trace (p95/p25 huge) — "varying update intervals".
-    from .temporal import dataset_update_intervals
-
-    ui_a = dataset_update_intervals(ali, block_size)
-    ui_m = dataset_update_intervals(msrc, block_size)
-
-    def spread(arr: np.ndarray) -> float:
-        if len(arr) < 10:
-            return float("nan")
-        p25, p95 = np.percentile(arr, [25, 95])
-        return float(p95 / max(p25, 1e-9))
-
-    f14 = spread(ui_a) > 30 and spread(ui_m) > 30
+    spread_a, spread_m = side_a["spread"], side_m["spread"]
+    f14 = spread_a > 30 and spread_m > 30
     findings.append(
-        Finding(14, FINDING_TITLES[14], f14, {"p95_over_p25": (spread(ui_a), spread(ui_m))})
+        Finding(14, FINDING_TITLES[14], f14, {"p95_over_p25": (spread_a, spread_m)})
     )
 
     # Finding 15: some volumes already effective at a 1% cache, and the
     # AliCloud-side 25th-percentile read miss ratio drops more from 1%->10%.
-    mr_a = dataset_miss_ratios(ali, (0.01, 0.10), block_size)
-    mr_m = dataset_miss_ratios(msrc, (0.01, 0.10), block_size)
+    mr_a, mr_m = side_a["miss"], side_m["miss"]
 
     def q25(arr: np.ndarray) -> float:
         return float(np.percentile(arr, 25)) if len(arr) else float("nan")

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..trace.blocks import block_traffic
+from ..trace.blocks import BlockView, block_view
 from ..trace.dataset import VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
 
@@ -30,7 +30,11 @@ def ranked_block_traffic(
     ``op`` restricts to ``"read"`` or ``"write"`` traffic; default sums
     both.  Untouched blocks are excluded.
     """
-    _, read_bytes, write_bytes = block_traffic(trace, block_size)
+    return _ranked_traffic(block_view(trace, block_size), op)
+
+
+def _ranked_traffic(view: BlockView, op: Optional[str]) -> np.ndarray:
+    read_bytes, write_bytes = view.traffic
     if op == "read":
         traffic = read_bytes
     elif op == "write":

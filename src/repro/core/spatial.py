@@ -8,10 +8,11 @@ read-mostly/write-mostly block classification, and update coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 import numpy as np
 
-from ..trace.blocks import block_events, block_traffic
+from ..trace.blocks import BlockView, block_view
 from ..trace.dataset import TraceDataset, VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
 
@@ -95,7 +96,7 @@ def topk_block_traffic_fraction(
         raise ValueError("top_fraction must be in (0, 1]")
     if op not in ("read", "write"):
         raise ValueError(f"op must be 'read' or 'write', got {op!r}")
-    _, read_bytes, write_bytes = block_traffic(trace, block_size)
+    read_bytes, write_bytes = block_view(trace, block_size).traffic
     return _topk_fraction(read_bytes if op == "read" else write_bytes, top_fraction)
 
 
@@ -119,21 +120,28 @@ class MostlyTraffic:
     write_to_write_mostly: float
 
 
-def _mostly_fractions(
-    read_bytes: np.ndarray, write_bytes: np.ndarray, threshold: float
-) -> MostlyTraffic:
-    total = read_bytes + write_bytes
-    touched = total > 0
-    read_bytes = read_bytes[touched]
-    write_bytes = write_bytes[touched]
-    total = total[touched]
-    read_mostly = read_bytes >= threshold * total
-    write_mostly = write_bytes >= threshold * total
-    total_read = read_bytes.sum()
-    total_write = write_bytes.sum()
-    r = float(read_bytes[read_mostly].sum() / total_read) if total_read > 0 else float("nan")
-    w = float(write_bytes[write_mostly].sum() / total_write) if total_write > 0 else float("nan")
-    return MostlyTraffic(read_to_read_mostly=r, write_to_write_mostly=w)
+def _mostly_bytes(view: BlockView, threshold: float) -> Tuple[int, int, int, int]:
+    """``(read bytes to read-mostly blocks, write bytes to write-mostly
+    blocks, read bytes, write bytes)`` of one volume."""
+    read_bytes, write_bytes = view.traffic
+    cutoff = threshold * (read_bytes + write_bytes)
+    return (
+        read_bytes[read_bytes >= cutoff].sum(),
+        write_bytes[write_bytes >= cutoff].sum(),
+        read_bytes.sum(),
+        write_bytes.sum(),
+    )
+
+
+def _pool_mostly(parts: Iterable[Tuple[int, int, int, int]]) -> MostlyTraffic:
+    """Fractions from per-volume :func:`_mostly_bytes`, summed as floats in
+    volume order."""
+    parts = list(parts)
+    to_rm, to_wm, read, write = (sum(float(p[i]) for p in parts) for i in range(4))
+    return MostlyTraffic(
+        read_to_read_mostly=to_rm / read if read > 0 else float("nan"),
+        write_to_write_mostly=to_wm / write if write > 0 else float("nan"),
+    )
 
 
 def mostly_traffic(
@@ -143,8 +151,7 @@ def mostly_traffic(
 ) -> MostlyTraffic:
     """Per-volume fractions of read traffic to read-mostly blocks and write
     traffic to write-mostly blocks."""
-    _, read_bytes, write_bytes = block_traffic(trace, block_size)
-    return _mostly_fractions(read_bytes, write_bytes, threshold)
+    return _pool_mostly([_mostly_bytes(block_view(trace, block_size), threshold)])
 
 
 def dataset_mostly_traffic(
@@ -157,26 +164,8 @@ def dataset_mostly_traffic(
     Block classification happens per volume (block ids are per-volume
     address spaces), then traffic is summed across the fleet.
     """
-    read_to_rm = 0.0
-    write_to_wm = 0.0
-    total_read = 0.0
-    total_write = 0.0
-    for trace in dataset.volumes():
-        _, read_bytes, write_bytes = block_traffic(trace, block_size)
-        if len(read_bytes) == 0:
-            continue
-        total = read_bytes + write_bytes
-        touched = total > 0
-        rb, wb, tot = read_bytes[touched], write_bytes[touched], total[touched]
-        read_mostly = rb >= threshold * tot
-        write_mostly = wb >= threshold * tot
-        read_to_rm += float(rb[read_mostly].sum())
-        write_to_wm += float(wb[write_mostly].sum())
-        total_read += float(rb.sum())
-        total_write += float(wb.sum())
-    return MostlyTraffic(
-        read_to_read_mostly=read_to_rm / total_read if total_read > 0 else float("nan"),
-        write_to_write_mostly=write_to_wm / total_write if total_write > 0 else float("nan"),
+    return _pool_mostly(
+        _mostly_bytes(block_view(v, block_size), threshold) for v in dataset.non_empty_volumes()
     )
 
 
@@ -193,32 +182,27 @@ class WorkingSets:
     write: int
     update: int
 
+    @property
+    def update_coverage(self) -> float:
+        """Update WSS / total WSS (Finding 11); NaN when nothing is touched."""
+        return self.update / self.total if self.total else float("nan")
+
+
+def _working_sets(view: BlockView) -> WorkingSets:
+    reads, writes = view.access_counts
+    return WorkingSets(
+        total=len(reads) * view.block_size,
+        read=int(np.count_nonzero(reads)) * view.block_size,
+        write=int(np.count_nonzero(writes)) * view.block_size,
+        update=int(np.count_nonzero(writes > 1)) * view.block_size,
+    )
+
 
 def working_sets(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> WorkingSets:
     """Total/read/write/update working set sizes of one volume."""
-    ev = block_events(trace, block_size)
-    if len(ev) == 0:
-        return WorkingSets(0, 0, 0, 0)
-    total = len(np.unique(ev.block_id))
-    read = len(np.unique(ev.block_id[~ev.is_write]))
-    write_blocks = ev.block_id[ev.is_write]
-    if len(write_blocks):
-        uniq, counts = np.unique(write_blocks, return_counts=True)
-        write = len(uniq)
-        update = int(np.count_nonzero(counts > 1))
-    else:
-        write = update = 0
-    return WorkingSets(
-        total=total * block_size,
-        read=read * block_size,
-        write=write * block_size,
-        update=update * block_size,
-    )
+    return _working_sets(block_view(trace, block_size))
 
 
 def update_coverage(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> float:
     """Update WSS / total WSS of the volume (Finding 11); NaN when empty."""
-    ws = working_sets(trace, block_size)
-    if ws.total == 0:
-        return float("nan")
-    return ws.update / ws.total
+    return working_sets(trace, block_size).update_coverage

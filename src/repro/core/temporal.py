@@ -10,11 +10,11 @@ permitted in between).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable
 
 import numpy as np
 
-from ..trace.blocks import block_events
+from ..trace.blocks import BlockView, block_view
 from ..trace.dataset import TraceDataset, VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
 
@@ -61,14 +61,30 @@ class AdjacentAccessTimes:
             raise KeyError(f"unknown transition type: {name!r}") from None
 
 
-def _sorted_block_stream(trace: VolumeTrace, block_size: int):
-    """Block events sorted by (block, time), preserving request order for
-    simultaneous accesses to a block."""
-    ev = block_events(trace, block_size)
-    if len(ev) == 0:
-        return None
-    order = np.lexsort((ev.req_index, ev.timestamps, ev.block_id))
-    return ev.block_id[order], ev.timestamps[order], ev.is_write[order]
+def _transitions(view: BlockView) -> AdjacentAccessTimes:
+    earlier, later = view.pairs
+    dt = view.timestamps[later] - view.timestamps[earlier]
+    prev_w = view.is_write[earlier]
+    cur_w = view.is_write[later]
+    return AdjacentAccessTimes(
+        raw=dt[prev_w & ~cur_w],
+        waw=dt[prev_w & cur_w],
+        rar=dt[~prev_w & ~cur_w],
+        war=dt[~prev_w & cur_w],
+    )
+
+
+def _concat(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    arrays = [a for a in arrays if len(a)]
+    return np.concatenate(arrays) if arrays else np.array([], dtype=np.float64)
+
+
+def _pool_transitions(parts: Iterable[AdjacentAccessTimes]) -> AdjacentAccessTimes:
+    """Concatenate per-volume transition times, in volume order."""
+    parts = list(parts)
+    return AdjacentAccessTimes(
+        *(_concat(getattr(p, key) for p in parts) for key in ("raw", "waw", "rar", "war"))
+    )
 
 
 def adjacent_access_times(
@@ -80,41 +96,16 @@ def adjacent_access_times(
     elapsed time to exactly one of the four transition types, keyed by the
     (previous, current) op pair.
     """
-    stream = _sorted_block_stream(trace, block_size)
-    empty = np.array([], dtype=np.float64)
-    if stream is None:
-        return AdjacentAccessTimes(empty, empty.copy(), empty.copy(), empty.copy())
-    block_id, ts, is_write = stream
-    same_block = block_id[1:] == block_id[:-1]
-    dt = (ts[1:] - ts[:-1])[same_block]
-    prev_w = is_write[:-1][same_block]
-    cur_w = is_write[1:][same_block]
-    return AdjacentAccessTimes(
-        raw=dt[prev_w & ~cur_w],
-        waw=dt[prev_w & cur_w],
-        rar=dt[~prev_w & ~cur_w],
-        war=dt[~prev_w & cur_w],
-    )
+    return _transitions(block_view(trace, block_size))
 
 
 def dataset_adjacent_access_times(
     dataset: TraceDataset, block_size: int = DEFAULT_BLOCK_SIZE
 ) -> AdjacentAccessTimes:
     """Fleet-level pooled transition times (paper Figures 14-15, Table V)."""
-    parts: Dict[str, List[np.ndarray]] = {"raw": [], "waw": [], "rar": [], "war": []}
-    for trace in dataset.volumes():
-        at = adjacent_access_times(trace, block_size)
-        parts["raw"].append(at.raw)
-        parts["waw"].append(at.waw)
-        parts["rar"].append(at.rar)
-        parts["war"].append(at.war)
-    empty = np.array([], dtype=np.float64)
-
-    def cat(key: str) -> np.ndarray:
-        arrays = [a for a in parts[key] if len(a)]
-        return np.concatenate(arrays) if arrays else empty.copy()
-
-    return AdjacentAccessTimes(raw=cat("raw"), waw=cat("waw"), rar=cat("rar"), war=cat("war"))
+    return _pool_transitions(
+        adjacent_access_times(v, block_size) for v in dataset.non_empty_volumes()
+    )
 
 
 def adjacent_access_counts(
@@ -124,26 +115,23 @@ def adjacent_access_counts(
     return dataset_adjacent_access_times(dataset, block_size).counts()
 
 
+def _update_intervals(view: BlockView) -> np.ndarray:
+    earlier, later = view.write_pairs
+    return view.timestamps[later] - view.timestamps[earlier]
+
+
 def update_intervals(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
     """Elapsed times between consecutive *writes* to the same block.
 
     Unlike WAW times, reads may occur between the two writes; a block
     written M times contributes M-1 intervals (Finding 14).
     """
-    stream = _sorted_block_stream(trace.writes(), block_size)
-    if stream is None:
-        return np.array([], dtype=np.float64)
-    block_id, ts, _ = stream
-    same_block = block_id[1:] == block_id[:-1]
-    return (ts[1:] - ts[:-1])[same_block]
+    # The writes alone make a smaller view with the same write pairs.
+    return _update_intervals(block_view(trace.writes(), block_size))
 
 
 def dataset_update_intervals(
     dataset: TraceDataset, block_size: int = DEFAULT_BLOCK_SIZE
 ) -> np.ndarray:
     """Pooled update intervals across the fleet (paper Table VI)."""
-    arrays = [update_intervals(v, block_size) for v in dataset.volumes()]
-    arrays = [a for a in arrays if len(a)]
-    if not arrays:
-        return np.array([], dtype=np.float64)
-    return np.concatenate(arrays)
+    return _concat(update_intervals(v, block_size) for v in dataset.non_empty_volumes())

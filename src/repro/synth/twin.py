@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.hotspots import fit_zipf, ranked_block_traffic
-from ..trace.blocks import block_events
+from ..core.hotspots import _ranked_traffic, fit_zipf
+from ..trace.blocks import BlockView, block_view
 from ..trace.dataset import VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
 from .address import UniformRandom, ZipfHotspot
@@ -70,10 +70,9 @@ def _size_mixture(sizes: np.ndarray) -> Optional[ChoiceSizes]:
     return ChoiceSizes(values[order].tolist(), counts[order].tolist())
 
 
-def _zipf_exponent(trace: VolumeTrace, op: str, block_size: int) -> float:
+def _zipf_exponent(view: BlockView, op: str) -> float:
     try:
-        ranked = ranked_block_traffic(trace, op, block_size)
-        fit = fit_zipf(ranked)
+        fit = fit_zipf(_ranked_traffic(view, op))
         return float(np.clip(fit.s, 0.0, 2.0))
     except ValueError:
         return 0.0
@@ -87,13 +86,11 @@ def fit_twin(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> TwinPa
     rate = len(trace) / duration if duration > 0 else float(len(trace))
     gaps = np.diff(trace.timestamps)
     micro = float(np.mean(gaps < 1e-3)) if len(gaps) else 0.0
-    ev = block_events(trace, block_size)
-    read_set = np.unique(ev.block_id[~ev.is_write])
-    write_set = np.unique(ev.block_id[ev.is_write])
-    read_blocks = len(read_set)
-    write_blocks = len(write_set)
-    total_blocks = len(np.unique(ev.block_id))
-    overlap = read_blocks + write_blocks - total_blocks
+    view = block_view(trace, block_size)
+    reads, writes = view.access_counts
+    read_blocks = int(np.count_nonzero(reads))
+    write_blocks = int(np.count_nonzero(writes))
+    overlap = read_blocks + write_blocks - len(reads)
     return TwinParameters(
         volume_id=trace.volume_id,
         rate=rate,
@@ -103,8 +100,8 @@ def fit_twin(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> TwinPa
         read_wss_blocks=read_blocks,
         write_wss_blocks=write_blocks,
         overlap_blocks=overlap,
-        read_zipf_s=_zipf_exponent(trace, "read", block_size),
-        write_zipf_s=_zipf_exponent(trace, "write", block_size),
+        read_zipf_s=_zipf_exponent(view, "read"),
+        write_zipf_s=_zipf_exponent(view, "write"),
         micro_burst_fraction=micro,
     )
 

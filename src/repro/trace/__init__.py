@@ -1,14 +1,6 @@
 """Block-level I/O trace data model, file formats, filters, and validation."""
 
-from .blocks import (
-    BlockEvents,
-    block_events,
-    block_range,
-    block_traffic,
-    expand_to_blocks,
-    unique_blocks,
-    working_set_size,
-)
+from .blocks import BlockView, block_range, block_view, expand_to_blocks
 from .dataset import TraceDataset, VolumeTrace
 from .filters import (
     filter_time_range,
@@ -63,11 +55,8 @@ __all__ = [
     "SampledTrace",
     "interval_features",
     "select_representatives",
-    "BlockEvents",
-    "block_events",
+    "BlockView",
+    "block_view",
     "block_range",
-    "block_traffic",
     "expand_to_blocks",
-    "unique_blocks",
-    "working_set_size",
 ]

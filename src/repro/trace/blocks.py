@@ -1,30 +1,31 @@
-"""Request-to-block mapping.
+"""Request-to-block mapping and the per-volume block view.
 
 The paper's spatial and temporal metrics operate at block granularity
 (default 4 KiB): working sets, read-/write-mostly classification,
-RAW/WAW/RAR/WAR transitions, and cache simulation all reason about the
-fixed-size blocks a request touches.  This module converts columnar request
-arrays into per-(request, block) event arrays, fully vectorized.
+RAW/WAW/RAR/WAR transitions, update intervals and cache simulation all
+reason about the fixed-size blocks a request touches.  :func:`block_view`
+expands a volume once, fully vectorized, into a :class:`BlockView`; every
+block metric is a reduction over that one view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
 
+from ..obs import metrics
 from .dataset import VolumeTrace
 from .record import DEFAULT_BLOCK_SIZE
 
 __all__ = [
     "block_range",
     "expand_to_blocks",
-    "BlockEvents",
-    "block_events",
-    "unique_blocks",
-    "working_set_size",
-    "block_traffic",
+    "adjacent_pairs",
+    "BlockView",
+    "block_view",
 ]
 
 
@@ -55,6 +56,8 @@ def expand_to_blocks(
     if n == 0:
         empty = np.array([], dtype=np.int64)
         return empty, empty.copy(), empty.copy()
+    # The one place a block stream is built: tests count these per command.
+    metrics.counter("trace.blocks.expansions").inc()
     first = offsets // block_size
     last = (offsets + sizes - 1) // block_size
     counts = last - first + 1
@@ -73,9 +76,27 @@ def expand_to_blocks(
     return req_index, block_id, nbytes
 
 
-@dataclass(frozen=True)
-class BlockEvents:
-    """Per-(request, block) touch events of one volume, in request order.
+def adjacent_pairs(block_id: np.ndarray, order: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Consecutive accesses to one block, as ``(earlier, later)`` positions.
+
+    ``order`` lists positions of ``block_id`` grouped by block, each
+    block's positions in stream order (a stable sort by block, or a
+    subsequence of one).  Pairs come out in that order.
+    """
+    ordered = block_id[order]
+    same = ordered[1:] == ordered[:-1]
+    return order[:-1][same], order[1:][same]
+
+
+@dataclass(frozen=True, eq=False)
+class BlockView:
+    """One volume's per-(request, block) accesses, in stream order.
+
+    Stream order is request order, then ascending block within a request.
+    :attr:`order` is one stable sort of the accesses by block, so each
+    block's accesses keep stream order: by time, and by request index
+    among equal timestamps (``VolumeTrace`` timestamps never decrease).
+    Every grouped derivation comes from that one sort, on first use.
 
     Attributes:
         block_id: block index touched.
@@ -96,27 +117,58 @@ class BlockEvents:
     def __len__(self) -> int:
         return len(self.block_id)
 
-    def reads(self) -> "BlockEvents":
-        return self._select(~self.is_write)
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Access positions sorted by block, stream order within a block."""
+        return np.argsort(self.block_id, kind="stable")
 
-    def writes(self) -> "BlockEvents":
-        return self._select(self.is_write)
+    @cached_property
+    def run_starts(self) -> np.ndarray:
+        """Where each distinct block's run of :attr:`order` starts."""
+        ordered = self.block_id[self.order]
+        first = np.ones(len(self), dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        return np.flatnonzero(first)
 
-    def _select(self, mask: np.ndarray) -> "BlockEvents":
-        return BlockEvents(
-            self.block_id[mask],
-            self.timestamps[mask],
-            self.is_write[mask],
-            self.nbytes[mask],
-            self.req_index[mask],
-            self.block_size,
-        )
+    def _per_block(self, values: np.ndarray) -> np.ndarray:
+        """Int64 sums of a per-access column over each block, ascending by block."""
+        return np.add.reduceat(values[self.order], self.run_starts, dtype=np.int64)
+
+    @cached_property
+    def traffic(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-block ``(read_bytes, write_bytes)``."""
+        write_bytes = self._per_block(np.where(self.is_write, self.nbytes, 0))
+        return self._per_block(self.nbytes) - write_bytes, write_bytes
+
+    @cached_property
+    def access_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-block ``(reads, writes)`` access counts."""
+        writes = self._per_block(self.is_write)
+        return np.diff(self.run_starts, append=len(self)) - writes, writes
+
+    @cached_property
+    def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every two consecutive accesses to one block (see :func:`adjacent_pairs`)."""
+        return adjacent_pairs(self.block_id, self.order)
+
+    @cached_property
+    def write_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every two consecutive writes to one block, reads in between ignored."""
+        return adjacent_pairs(self.block_id, self.order[self.is_write[self.order]])
+
+    @cached_property
+    def previous(self) -> np.ndarray:
+        """Position of each access's previous access to its block; -1 for a first touch."""
+        previous = np.full(len(self), -1, dtype=np.int64)
+        earlier, later = self.pairs
+        previous[later] = earlier
+        return previous
 
 
-def block_events(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> BlockEvents:
-    """Expand a volume trace into time-ordered :class:`BlockEvents`."""
+def block_view(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> BlockView:
+    """Expand a volume trace into its :class:`BlockView`."""
     req_index, block_id, nbytes = expand_to_blocks(trace.offsets, trace.sizes, block_size)
-    return BlockEvents(
+    return BlockView(
         block_id=block_id,
         timestamps=trace.timestamps[req_index],
         is_write=trace.is_write[req_index],
@@ -124,37 +176,3 @@ def block_events(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> Bl
         req_index=req_index,
         block_size=block_size,
     )
-
-
-def unique_blocks(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    """Sorted array of distinct block ids touched by the trace."""
-    _, block_id, _ = expand_to_blocks(trace.offsets, trace.sizes, block_size)
-    return np.unique(block_id)
-
-
-def working_set_size(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
-    """Working set size in bytes: #distinct blocks touched x block size."""
-    return len(unique_blocks(trace, block_size)) * block_size
-
-
-def block_traffic(
-    trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-block read and write traffic.
-
-    Returns ``(blocks, read_bytes, write_bytes)`` where ``blocks`` is the
-    sorted distinct block ids and the byte arrays give each block's total
-    read and write traffic.
-    """
-    ev = block_events(trace, block_size)
-    if len(ev) == 0:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    blocks, inverse = np.unique(ev.block_id, return_inverse=True)
-    read_bytes = np.bincount(
-        inverse[~ev.is_write], weights=ev.nbytes[~ev.is_write], minlength=len(blocks)
-    ).astype(np.int64)
-    write_bytes = np.bincount(
-        inverse[ev.is_write], weights=ev.nbytes[ev.is_write], minlength=len(blocks)
-    ).astype(np.int64)
-    return blocks, read_bytes, write_bytes

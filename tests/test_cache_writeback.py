@@ -131,8 +131,8 @@ class TestSimulateWriteback:
         """On write-dominant cloud volumes a small write-back cache absorbs
         a sizable write share (the paper's Griffin-style implication)."""
         vol = max(tiny_ali.non_empty_volumes(), key=lambda v: v.n_writes)
-        from repro.trace.blocks import block_events
+        from repro.trace.blocks import block_view
 
-        wss = len(np.unique(block_events(vol).block_id))
+        wss = len(np.unique(block_view(vol).block_id))
         stats = simulate_writeback(vol, max(1, wss // 10))
         assert stats.write_absorption_ratio > 0.05

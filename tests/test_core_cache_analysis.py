@@ -16,7 +16,7 @@ from repro.core import (
 from repro.obs import collecting, traced
 from repro.stats import EmpiricalCDF
 from repro.trace import TraceDataset, VolumeTrace
-from repro.trace.blocks import block_events
+from repro.trace.blocks import block_view
 
 from conftest import make_trace
 
@@ -107,8 +107,8 @@ class TestLRUFromReuseDistances:
         tr = _random_trace(seed, n_requests, span_blocks)
         with collecting() as fast_reg, traced():
             results = volume_miss_ratios(tr, self.FRACTIONS, policy_factory=policy)
-        ev = block_events(tr, BS)
         with collecting() as replay_reg, traced():
+            ev = block_view(tr, BS)
             replayed = [
                 simulate_stream(ev.block_id, ev.is_write, policy(r.capacity_blocks))
                 for r in results

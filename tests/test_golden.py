@@ -10,6 +10,8 @@ the dataset reader moved onto the engine's fold driver, plus the
 ``findings`` exit code.  Each command reruns on a fresh copy of the
 fixtures, as text (``--no-store``) and from the trace store (``--store``,
 which builds the entries on first use), and must reproduce them exactly.
+``experiments`` generates its fleets in memory, so it runs once, on a
+small seeded pair recorded before its block metrics shared one pass.
 """
 
 from __future__ import annotations
@@ -56,3 +58,9 @@ def test_golden_output(name, store_flag, fixture_dirs, capsysbinary):
     assert out == _expected(name)
     want_rc = int(_expected("findings.exit")) if name == "findings.txt" else 0
     assert rc == want_rc
+
+
+def test_golden_experiments(capsysbinary):
+    rc = main(["experiments", "--volumes", "8", "--day-seconds", "2", "--seed", "0"])
+    assert rc == 0
+    assert capsysbinary.readouterr().out == _expected("experiments.txt")

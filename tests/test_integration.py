@@ -21,7 +21,7 @@ from repro.core import (
 )
 from repro.engine import read_dataset_dir_chunked
 from repro.trace import write_alicloud
-from repro.trace.blocks import block_events
+from repro.trace.blocks import block_view
 
 
 
@@ -63,7 +63,7 @@ class TestCacheConsistency:
     def test_simulator_matches_mrc(self, tiny_ali):
         """Trace-driven LRU simulation equals the MRC prediction."""
         vol = max(tiny_ali.non_empty_volumes(), key=len)
-        ev = block_events(vol)
+        ev = block_view(vol)
         mrc = mrc_from_stream(ev.block_id)
         wss = len(np.unique(ev.block_id))
         for frac in (0.01, 0.10, 0.5):
@@ -99,8 +99,9 @@ class TestClusterPipeline:
     def test_ftl_replay_of_volume_writes(self, tiny_ali):
         """Replay a volume's write blocks through the FTL substrate."""
         vol = max(tiny_ali.non_empty_volumes(), key=lambda v: v.n_writes)
-        ev = block_events(vol).writes()
-        blocks, inverse = np.unique(ev.block_id, return_inverse=True)
+        view = block_view(vol)
+        writes = view.block_id[view.is_write]
+        blocks, inverse = np.unique(writes, return_inverse=True)
         n_logical = len(blocks)
         pages_per_block = 32
         n_flash_blocks = max(8, int(n_logical * 1.3 / pages_per_block) + 4)

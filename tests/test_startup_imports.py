@@ -48,8 +48,8 @@ TRACE_ALL = [
     "split_days", "top_traffic_volume_ids", "ValidationIssue",
     "ValidationReport", "validate_volume", "validate_dataset",
     "validate_trace_dir", "SampledTrace", "interval_features",
-    "select_representatives", "BlockEvents", "block_events", "block_range",
-    "block_traffic", "expand_to_blocks", "unique_blocks", "working_set_size",
+    "select_representatives", "BlockView", "block_view", "block_range",
+    "expand_to_blocks",
 ]
 
 

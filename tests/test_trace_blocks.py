@@ -1,18 +1,13 @@
-"""Tests for repro.trace.blocks (request-to-block expansion)."""
+"""Tests for repro.trace.blocks (request-to-block expansion, block views)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trace.blocks import (
-    block_events,
-    block_range,
-    block_traffic,
-    expand_to_blocks,
-    unique_blocks,
-    working_set_size,
-)
+from repro.obs import collecting
+from repro.trace import VolumeTrace
+from repro.trace.blocks import adjacent_pairs, block_range, block_view, expand_to_blocks
 
 from conftest import make_trace
 
@@ -100,26 +95,28 @@ class TestBlockEvents:
             sizes=[2 * BS, BS],
             is_write=[True, False],
         )
-        ev = block_events(tr)
-        assert list(ev.block_id) == [0, 1, 0]
-        assert list(ev.is_write) == [True, True, False]
-        assert list(ev.timestamps) == [0.0, 0.0, 1.0]
+        view = block_view(tr)
+        assert list(view.block_id) == [0, 1, 0]
+        assert list(view.is_write) == [True, True, False]
+        assert list(view.timestamps) == [0.0, 0.0, 1.0]
+        assert list(view.req_index) == [0, 0, 1]
 
     def test_reads_writes_views(self):
         tr = make_trace(is_write=[True, False, True, False])
-        ev = block_events(tr)
-        assert len(ev.reads()) == 2
-        assert len(ev.writes()) == 2
+        reads, writes = block_view(tr).access_counts
+        assert reads.sum() == 2
+        assert writes.sum() == 2
 
 
 class TestAggregates:
     def test_unique_blocks(self):
         tr = make_trace(offsets=[0, 0, BS, 2 * BS], sizes=[BS] * 4)
-        assert list(unique_blocks(tr)) == [0, 1, 2]
+        view = block_view(tr)
+        assert list(view.block_id[view.order[view.run_starts]]) == [0, 1, 2]
 
     def test_working_set_size(self):
         tr = make_trace(offsets=[0, 0, BS, 2 * BS], sizes=[BS] * 4)
-        assert working_set_size(tr) == 3 * BS
+        assert len(block_view(tr).run_starts) * BS == 3 * BS
 
     def test_block_traffic_split_by_op(self):
         tr = make_trace(
@@ -127,13 +124,51 @@ class TestAggregates:
             sizes=[BS, BS, BS, BS],
             is_write=[True, False, True, True],
         )
-        blocks, rd, wr = block_traffic(tr)
-        assert list(blocks) == [0, 1]
+        view = block_view(tr)
+        rd, wr = view.traffic
+        assert list(view.block_id[view.order[view.run_starts]]) == [0, 1]
         assert list(rd) == [BS, 0]
         assert list(wr) == [2 * BS, BS]
 
     def test_block_traffic_empty(self):
-        from repro.trace import VolumeTrace
+        view = block_view(VolumeTrace.empty("v"))
+        rd, wr = view.traffic
+        assert len(view.run_starts) == len(rd) == len(wr) == 0
+        assert [len(a) for a in (*view.pairs, *view.write_pairs, view.previous)] == [0] * 5
 
-        blocks, rd, wr = block_traffic(VolumeTrace.empty("v"))
-        assert len(blocks) == 0
+
+class TestBlockView:
+    def test_order_groups_blocks_in_stream_order(self):
+        # Requests 0 and 2 share timestamp 1.0 and block 0; the later
+        # request index comes second.
+        tr = make_trace(
+            timestamps=[1.0, 1.0, 1.0, 2.0],
+            offsets=[0, BS, 0, BS],
+            sizes=[BS, BS, BS, BS],
+            is_write=[False, True, True, False],
+        )
+        view = block_view(tr)
+        assert list(view.req_index[view.order]) == [0, 2, 1, 3]
+        assert list(view.run_starts) == [0, 2]
+        assert [list(a) for a in view.pairs] == [[0, 1], [2, 3]]
+        assert [list(a) for a in view.write_pairs] == [[], []]
+        assert list(view.previous) == [-1, -1, 0, 1]
+
+    def test_write_pairs_skip_reads(self):
+        tr = make_trace(
+            timestamps=[0.0, 1.0, 2.0], offsets=[0, 0, 0], sizes=[BS] * 3,
+            is_write=[True, False, True],
+        )
+        assert [list(a) for a in block_view(tr).write_pairs] == [[0], [2]]
+
+    def test_adjacent_pairs_of_a_subsequence(self):
+        blocks = np.array([5, 3, 5, 3, 5])
+        assert [list(a) for a in adjacent_pairs(blocks, np.array([1, 3, 0, 4]))] == [[1, 0], [3, 4]]
+
+    def test_expansions_counted_once_per_nonempty_stream(self):
+        tr = make_trace(timestamps=[0.0, 1.0], offsets=[0, BS], sizes=[BS, 2 * BS])
+        with collecting() as reg:
+            view = block_view(tr)
+            view.traffic, view.pairs, view.previous
+            block_view(VolumeTrace.empty("v"))
+        assert reg.counter("trace.blocks.expansions").value == 1

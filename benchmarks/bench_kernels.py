@@ -7,13 +7,15 @@ Each lane names the repository-benchmark layer (``benchmarks/suite``,
 traced pass) its kernel feeds; a kernel win counts once it shows there:
 
 * request-to-block expansion -> ``trace.blocks.expand_to_blocks``,
-* the block view and every block metric reduced from it (one stable sort
-  per volume) -> ``core.findings.evaluate_findings``; the lane checks a
-  small trace against the naive replay in ``tests/block_oracle.py``,
+* the block view and every block metric reduced from it (one packed-key
+  sort per volume) -> ``core.findings.evaluate_findings``; the lane checks
+  a small trace against the naive replay in ``tests/block_oracle.py``,
 * randomness-ratio computation (32-lag sliding-window minimum) ->
   ``core.compute_profile`` and ``core.findings.evaluate_findings``,
-* exact reuse distances (merge-sort inversion count) and LRU miss ratios
-  from them -> ``core.cache_analysis.volume_miss_ratios`` and
+* exact reuse distances (a merge-sort count over runs of previous
+  positions) on a random stream and on the block stream of multi-block
+  requests, and LRU miss ratios from them ->
+  ``core.cache_analysis.volume_miss_ratios`` and
   ``core.cache_analysis.dataset_miss_ratios``,
 * same-block transition classification (RAW/WAW/RAR/WAR) ->
   ``core.temporal.adjacent_access_times``,
@@ -43,7 +45,7 @@ from repro.core.volume_profile import summarize_blocks
 from repro.engine import iter_chunks
 from repro.stats import HyperLogLog
 from repro.trace import VolumeTrace
-from repro.trace.blocks import expand_to_blocks
+from repro.trace.blocks import block_view, expand_to_blocks
 from repro.trace.reader import iter_alicloud_requests, iter_msrc_requests
 
 N_REQUESTS = 200_000
@@ -107,6 +109,24 @@ def test_kernel_reuse_distances(benchmark):
     stream = rng.integers(0, 5000, 50_000)
     distances = benchmark(reuse_distances, stream)
     assert len(distances) == len(stream)
+
+
+def test_kernel_reuse_distances_extents(benchmark):
+    """Multi-block requests over a 64 MiB region re-read recent extents, so
+    the previous positions of the re-accesses form runs."""
+    rng = np.random.default_rng(13)
+    n = 20_000
+    trace = VolumeTrace("extents", np.arange(n, dtype=float), rng.integers(0, 1 << 14, n) * 4096,
+                        rng.choice([4096, 16384, 65536], n), rng.random(n) < 0.5, presorted=True)
+    view = block_view(trace)
+    gap = view.previous[view.previous >= 0]
+    runs = 1 + np.count_nonzero(np.diff(gap) != 1)
+    assert 2 * runs <= len(gap)
+
+    distances = benchmark(reuse_distances, view.block_id)
+    for capacity in (100, 2000):
+        want = simulate_stream(view.block_id, view.is_write, LRUCache(capacity))
+        assert simulate_lru(distances, view.is_write, capacity) == want
 
 
 def test_kernel_lru_simulation(benchmark):

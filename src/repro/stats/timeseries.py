@@ -72,5 +72,5 @@ def interval_activity(
     if len(in_range) == 0:
         return active
     idx = np.minimum(((in_range - t0) / interval).astype(np.int64), len(active) - 1)
-    active[np.unique(idx)] = True
+    active[idx] = True
     return active

@@ -23,6 +23,7 @@ from .record import DEFAULT_BLOCK_SIZE
 __all__ = [
     "block_range",
     "expand_to_blocks",
+    "stable_order",
     "adjacent_pairs",
     "BlockView",
     "block_view",
@@ -76,6 +77,31 @@ def expand_to_blocks(
     return req_index, block_id, nbytes
 
 
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``, from one sort of packed keys.
+
+    Each key is ``(value - min) << bits | position``, so sorting the keys
+    by value orders by value, then by position.  Values whose span leaves
+    no room for the position bits, and non-integer values, take the
+    stable argsort itself.
+    """
+    values = np.asarray(values)
+    n = len(values)
+    if n == 0 or not np.can_cast(values.dtype, np.int64):
+        return np.argsort(values, kind="stable")
+    bits = (n - 1).bit_length()
+    lo = int(values.min())
+    if (int(values.max()) - lo) >> (63 - bits):
+        return np.argsort(values, kind="stable")
+    keys = values.astype(np.int64)
+    keys -= lo
+    keys <<= bits
+    keys |= np.arange(n, dtype=np.int64)
+    keys.sort()
+    keys &= (1 << bits) - 1
+    return keys
+
+
 def adjacent_pairs(block_id: np.ndarray, order: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Consecutive accesses to one block, as ``(earlier, later)`` positions.
 
@@ -93,9 +119,10 @@ class BlockView:
     """One volume's per-(request, block) accesses, in stream order.
 
     Stream order is request order, then ascending block within a request.
-    :attr:`order` is one stable sort of the accesses by block, so each
-    block's accesses keep stream order: by time, and by request index
-    among equal timestamps (``VolumeTrace`` timestamps never decrease).
+    :attr:`order` is one stable sort of the accesses by block
+    (:func:`stable_order`), so each block's accesses keep stream order:
+    by time, and by request index among equal timestamps
+    (``VolumeTrace`` timestamps never decrease).
     Every grouped derivation comes from that one sort, on first use.
 
     Attributes:
@@ -120,7 +147,7 @@ class BlockView:
     @cached_property
     def order(self) -> np.ndarray:
         """Access positions sorted by block, stream order within a block."""
-        return np.argsort(self.block_id, kind="stable")
+        return stable_order(self.block_id)
 
     @cached_property
     def run_starts(self) -> np.ndarray:

@@ -12,6 +12,7 @@ from repro.cache import (
     LRUCache,
     mrc_from_distances,
     mrc_from_stream,
+    reuse,
     reuse_distances,
     shards_mrc,
     shards_sample_mask,
@@ -21,9 +22,20 @@ from repro.cache import (
 
 from conftest import make_trace
 
-#: Lengths 2^k - 1, 2^k and 2^k + 1 around the brute-force tile (16) and
-#: every merge level up to 2048.
+#: Lengths 2^k - 1, 2^k and 2^k + 1 around the shifted-compare tile (16)
+#: and every merge level up to 2048.
 BOUNDARY_LENGTHS = sorted({2**k + d for k in range(1, 12) for d in (-1, 0, 1)})
+
+
+def _extents(starts, lengths):
+    """The block stream of requests reading ``lengths[k]`` blocks from ``starts[k]``."""
+    return np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lengths)])
+
+
+def _naive_greater_before(p, weights):
+    """``sum(weights[j] for j < i if p[j] > p[i])`` by brute force."""
+    earlier_greater = np.tril(p[None, :] > p[:, None], -1)
+    return earlier_greater.astype(np.int64) @ weights
 
 
 def _naive_distances(stream):
@@ -103,6 +115,68 @@ class TestReuseDistances:
     def test_all_distinct_stream(self, n):
         stream = np.arange(n)[::-1] * (2**40) - 2**61
         assert reuse_distances(stream).tolist() == [INFINITE_DISTANCE] * n
+
+    @given(
+        extents=st.lists(st.tuples(st.integers(0, 120), st.integers(1, 40)), min_size=1,
+                         max_size=80),
+        lead=st.integers(0, 40),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_repeated_extents_match_naive(self, extents, lead):
+        """Multi-block requests over a small hot region re-read recent
+        extents, so the previous positions form runs; ``lead`` first
+        touches shift the runs across tile and merge-level boundaries."""
+        starts, lengths = zip(*extents)
+        stream = np.concatenate([np.arange(-lead, 0), _extents(starts, lengths)])
+        assert reuse_distances(stream).tolist() == _naive_distances(stream.tolist())
+
+    @pytest.mark.parametrize("length", [1, 3, 15, 16, 17, 31, 33, 100])
+    @pytest.mark.parametrize("lead", [0, 5, 16, 29])
+    def test_sequential_rescans(self, length, lead):
+        """Re-scanning an extent makes one run per scan; a few random reads
+        between the scans split it."""
+        rng = np.random.default_rng(length * 100 + lead)
+        scans = [np.arange(length)] * 6 + [rng.integers(0, 2 * length, 3)] + [np.arange(length)] * 5
+        stream = np.concatenate([np.arange(-lead, 0)] + scans)
+        assert reuse_distances(stream).tolist() == _naive_distances(stream.tolist())
+
+    @pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
+    def test_weighted_kernel_at_boundaries(self, n):
+        """The count over run heads, with the heads' weights, at lengths
+        around the tile and every merge level."""
+        rng = np.random.default_rng(n)
+        p = rng.permutation(3 * n)[:n]
+        weights = rng.integers(1, 9, n)
+        assert reuse._greater_before(p, weights).tolist() == _naive_greater_before(p, weights).tolist()
+
+    @pytest.mark.parametrize("fields", [0, 1, 4, 7, 10])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_kernel_count_flush(self, monkeypatch, fields, weighted):
+        """A count field of ``fields`` bits overflows at some merge level;
+        the kernel moves the counts out first and stays exact."""
+        rng = np.random.default_rng(fields)
+        n = 1500
+        p = rng.permutation(4000)[:n]
+        weights = rng.integers(1, 40, n) if weighted else None
+        key_bits = int(p.max()).bit_length() + (n - 1).bit_length() + fields
+        monkeypatch.setattr(reuse, "_KEY_BITS", key_bits)
+        got = reuse._greater_before(p, weights)
+        want = _naive_greater_before(p, np.ones(n, dtype=np.int64) if weights is None else weights)
+        assert got.tolist() == want.tolist()
+
+    def test_kernel_count_flush_for_a_heavy_tail(self, monkeypatch):
+        """Only the partial block at the end is too heavy for the field."""
+        n = 1500
+        p = np.random.default_rng(3).permutation(n)
+        weights = np.ones(n, dtype=np.int64)
+        weights[-(n % 32) :] = 1000
+        monkeypatch.setattr(reuse, "_KEY_BITS", 2 * (n - 1).bit_length() + 7)
+        assert reuse._greater_before(p, weights).tolist() == _naive_greater_before(p, weights).tolist()
+
+    def test_kernel_refuses_keys_that_do_not_fit(self):
+        """Positions and values too wide for one int64 key fail loudly."""
+        with pytest.raises(OverflowError):
+            reuse._greater_before(np.array([2**62, 0]))
 
     def test_peak_memory_per_access(self):
         """Working memory stays linear with a small constant: at most 96

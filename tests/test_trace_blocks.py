@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from repro.obs import collecting
 from repro.trace import VolumeTrace
-from repro.trace.blocks import adjacent_pairs, block_range, block_view, expand_to_blocks
+from repro.trace.blocks import (
+    adjacent_pairs,
+    block_range,
+    block_view,
+    expand_to_blocks,
+    stable_order,
+)
 
 from conftest import make_trace
 
@@ -164,6 +170,53 @@ class TestBlockView:
     def test_adjacent_pairs_of_a_subsequence(self):
         blocks = np.array([5, 3, 5, 3, 5])
         assert [list(a) for a in adjacent_pairs(blocks, np.array([1, 3, 0, 4]))] == [[1, 0], [3, 4]]
+
+    def test_order_falls_back_when_block_ids_are_too_wide_to_pack(self):
+        """Offsets near 0 and near 2^62 leave no room for the position bits
+        of 9600 accesses; the order and previous accesses stay exact."""
+        rng = np.random.default_rng(4)
+        n = 600
+        near_top = rng.random(n) < 0.5
+        offsets = np.where(near_top, 2**62, 0) + rng.integers(0, 64, n) * BS
+        tr = make_trace(timestamps=np.arange(n, dtype=float), offsets=offsets,
+                        sizes=[16 * BS] * n, is_write=[False] * n)
+        view = block_view(tr)
+        span = int(view.block_id.max() - view.block_id.min())
+        assert span >> (63 - (len(view) - 1).bit_length()) != 0
+        assert view.order.tolist() == np.argsort(view.block_id, kind="stable").tolist()
+        last, previous = {}, []
+        for i, b in enumerate(view.block_id.tolist()):
+            previous.append(last.get(b, -1))
+            last[b] = i
+        assert view.previous.tolist() == previous
+
+    @given(
+        values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=200),
+        dtype=st.sampled_from(["int64", "int32", "int8", "uint8", "uint32", "uint64", "bool",
+                               "float64"]),
+        small=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stable_order_is_the_stable_argsort(self, values, dtype, small):
+        """Packed or not, the order is ``argsort(kind="stable")``."""
+        values = np.array(values, dtype=object)
+        if small:
+            values = values % 7
+        arr = values.astype(np.float64 if dtype == "float64" else np.int64)
+        if dtype not in ("int64", "float64"):
+            arr = arr.astype(dtype)
+        got = stable_order(arr)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.argsort(arr, kind="stable").tolist()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 200])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_stable_order_at_the_key_width(self, n, extra):
+        """A span of 2^(63 - bits) - 1 packs into the largest int64 key;
+        one more would wrap, so it takes the argsort."""
+        span = 2 ** (63 - (n - 1).bit_length()) - 1 + extra
+        values = np.array([span - 2**61] + [-(2**61)] * (n - 1), dtype=np.int64)
+        assert stable_order(values).tolist() == list(range(1, n)) + [0]
 
     def test_expansions_counted_once_per_nonempty_stream(self):
         tr = make_trace(timestamps=[0.0, 1.0], offsets=[0, BS], sizes=[BS, 2 * BS])

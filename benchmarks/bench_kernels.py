@@ -24,6 +24,11 @@ traced pass) its kernel feeds; a kernel win counts once it shows there:
 * HyperLogLog bulk insertion -> the working-set sketches of the
   ``spatial`` and ``streaming_profile`` engine folds, timed by
   ``engine.analyzers.streaming_profile.consume``,
+* the streaming profile's consume and finalize over 100 small volumes
+  (per-volume sketch set-up, reservoir fill, three HLL sketches, and the
+  estimates and percentiles) -> ``engine.analyzers.streaming_profile.consume``
+  and ``engine.analyzers.streaming_profile.finalize``; the lane checks
+  the exact counters and the under-capacity percentiles,
 * byte-level text parsing of AliCloud and MSRC trace files ->
   ``engine.chunks.parse`` (each lane checks its columns against the row
   readers).
@@ -42,7 +47,7 @@ import pytest
 from repro.cache import LRUCache, reuse_distances, simulate_lru, simulate_stream
 from repro.core import adjacent_access_times, randomness_ratio
 from repro.core.volume_profile import summarize_blocks
-from repro.engine import iter_chunks
+from repro.engine import Chunk, StreamingProfileAnalyzer, iter_chunks
 from repro.stats import HyperLogLog
 from repro.trace import VolumeTrace
 from repro.trace.blocks import block_view, expand_to_blocks
@@ -166,6 +171,35 @@ def test_kernel_hll_bulk_insert(benchmark):
 
     hll = benchmark(run)
     assert len(hll) > 0
+
+
+def test_kernel_streaming_profile(benchmark):
+    rng = np.random.default_rng(21)
+    chunks = []
+    for v in range(100):
+        n = int(rng.integers(1_000, 2_700))
+        trace = VolumeTrace(
+            f"vol{v}", np.sort(rng.random(n) * 86_400.0),
+            rng.integers(0, 1 << 20, n) * 4096,
+            rng.choice([4096, 8192, 16384, 65536], n).astype(np.int64),
+            rng.random(n) < 0.7, presorted=True,
+        )
+        chunks.append(Chunk.from_trace(trace))
+    analyzer = StreamingProfileAnalyzer()
+
+    def run():
+        return [
+            analyzer.finalize(analyzer.consume(analyzer.init_state(c.volume_id), c))
+            for c in chunks
+        ]
+
+    profiles = benchmark(run)
+    for chunk, profile in zip(chunks, profiles):
+        assert profile.n_requests == len(chunk)
+        assert profile.n_writes == int(chunk.is_write.sum())
+        expected = np.percentile(chunk.sizes.astype(np.float64), analyzer.percentiles)
+        assert list(profile.size_percentiles.values()) == expected.tolist()
+        assert profile.wss_total_bytes >= max(profile.wss_read_bytes, profile.wss_write_bytes)
 
 
 def _parse_lane(benchmark, path, fmt, read_rows):

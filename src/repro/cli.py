@@ -71,7 +71,7 @@ import math
 import os
 import sys
 from time import perf_counter, process_time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,16 +92,14 @@ from .obs import (
 from .resilience import (
     ON_ERROR_CHOICES,
     ON_ERROR_STRICT,
-    CheckpointConfig,
-    CheckpointError,
     RetryPolicy,
     RunErrors,
-    RunInterrupted,
-    graceful_interrupts,
     write_quarantine_jsonl,
 )
-from .resilience.checkpoint import DEFAULT_CHECKPOINT_DIR
 from .store import DEFAULT_STORE_DIRNAME, StoreConfig
+
+if TYPE_CHECKING:
+    from .resilience import CheckpointConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -405,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help=f"checkpoint root (default: {DEFAULT_CHECKPOINT_DIR})",
+        help="checkpoint root (default: .repro/checkpoints)",
     )
 
     val = sub.add_parser(
@@ -807,6 +805,7 @@ def _checkpoint_config(args: argparse.Namespace) -> Optional[CheckpointConfig]:
     if not (getattr(args, "checkpoint", False) or getattr(args, "resume", False)):
         return None
     from .obs import ledger
+    from .resilience.checkpoint import DEFAULT_CHECKPOINT_DIR, CheckpointConfig
 
     config = {
         key: value
@@ -835,7 +834,12 @@ def _stream_analyze(args: argparse.Namespace) -> int:
     # RunInterrupted unwind (main() maps it to exit 128+signum after the
     # ledger record is flushed); un-checkpointed runs keep default
     # signal behavior.
-    guard = graceful_interrupts() if checkpoint is not None else nullcontext()
+    if checkpoint is not None:
+        from .resilience.checkpoint import graceful_interrupts
+
+        guard = graceful_interrupts()
+    else:
+        guard = nullcontext()
     with guard:
         result = run_files(
             files,
@@ -1031,16 +1035,22 @@ def _invoke(handler: Callable[[argparse.Namespace], int], args: argparse.Namespa
     """
     try:
         return handler(args)
-    except CheckpointError as exc:
-        _log.error("resume_refused", error=str(exc))
-        return 2
-    except RunInterrupted as exc:
-        _log.warning(
-            "run_interrupted",
-            signal=exc.signame,
-            hint="completed units are checkpointed; re-run with --resume",
-        )
-        return 128 + exc.signum
+    except BaseException as exc:
+        # Only a checkpointed run raises these, and it has already loaded
+        # the module that defines them.
+        from .resilience.checkpoint import CheckpointError, RunInterrupted
+
+        if isinstance(exc, CheckpointError):
+            _log.error("resume_refused", error=str(exc))
+            return 2
+        if isinstance(exc, RunInterrupted):
+            _log.warning(
+                "run_interrupted",
+                signal=exc.signame,
+                hint="completed units are checkpointed; re-run with --resume",
+            )
+            return 128 + exc.signum
+        raise
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -33,53 +33,58 @@ Quickstart::
     profile = result.analyzer("streaming_profile")["vol0"]
 """
 
-from .analyzer import Analyzer, reservoir_percentiles, volume_seed
-from .backends import (
-    BACKENDS,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    resolve_backend,
-)
-from .analyzers import (
-    DEFAULT_RESERVOIR_SIZE,
-    LoadIntensityAnalyzer,
-    LoadIntensityResult,
-    SpatialAnalyzer,
-    StreamingProfileAnalyzer,
-    StreamingVolumeProfile,
-    TemporalAnalyzer,
-    TemporalResult,
-    WorkingSetSketch,
-)
-from .chunks import (
-    DEFAULT_CHUNK_SIZE,
-    Chunk,
-    ColumnPrunedError,
-    apply_plan,
-    apply_predicate,
-    chunks_from_trace,
-    iter_chunks,
-    list_trace_files,
-    read_dataset_dir_chunked,
-)
-from .plan import (
-    ALL_COLUMNS,
-    QueryPlan,
-    RowPredicate,
-    analyzer_columns,
-    analyzer_predicate,
-    plan_for,
-)
-from .runner import (
-    EngineResult,
-    parallel_map,
-    resilient_map,
-    run,
-    run_dataset,
-    run_files,
-)
-from .units import SplitServeError, WorkUnit, plan_units, unit_chunks
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .analyzer import Analyzer, reservoir_percentiles, volume_seed
+    from .backends import (
+        BACKENDS,
+        ExecutionBackend,
+        ProcessBackend,
+        SerialBackend,
+        resolve_backend,
+    )
+    from .analyzers import (
+        DEFAULT_RESERVOIR_SIZE,
+        LoadIntensityAnalyzer,
+        LoadIntensityResult,
+        SpatialAnalyzer,
+        StreamingProfileAnalyzer,
+        StreamingVolumeProfile,
+        TemporalAnalyzer,
+        TemporalResult,
+        WorkingSetSketch,
+    )
+    from .chunks import (
+        DEFAULT_CHUNK_SIZE,
+        Chunk,
+        ColumnPrunedError,
+        apply_plan,
+        apply_predicate,
+        chunks_from_trace,
+        iter_chunks,
+        list_trace_files,
+        read_dataset_dir_chunked,
+    )
+    from .plan import (
+        ALL_COLUMNS,
+        QueryPlan,
+        RowPredicate,
+        analyzer_columns,
+        analyzer_predicate,
+        plan_for,
+    )
+    from .runner import (
+        EngineResult,
+        parallel_map,
+        resilient_map,
+        run,
+        run_dataset,
+        run_files,
+    )
+    from .units import SplitServeError, WorkUnit, plan_units, unit_chunks
 
 __all__ = [
     "Analyzer",
@@ -125,3 +130,30 @@ __all__ = [
     "run_dataset",
     "run_files",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analyzer": ("Analyzer", "reservoir_percentiles", "volume_seed"),
+    ".backends": (
+        "BACKENDS", "ExecutionBackend", "ProcessBackend", "SerialBackend",
+        "resolve_backend",
+    ),
+    ".analyzers": (
+        "DEFAULT_RESERVOIR_SIZE", "LoadIntensityAnalyzer", "LoadIntensityResult",
+        "SpatialAnalyzer", "StreamingProfileAnalyzer", "StreamingVolumeProfile",
+        "TemporalAnalyzer", "TemporalResult", "WorkingSetSketch",
+    ),
+    ".chunks": (
+        "DEFAULT_CHUNK_SIZE", "Chunk", "ColumnPrunedError", "apply_plan",
+        "apply_predicate", "chunks_from_trace", "iter_chunks", "list_trace_files",
+        "read_dataset_dir_chunked",
+    ),
+    ".plan": (
+        "ALL_COLUMNS", "QueryPlan", "RowPredicate", "analyzer_columns",
+        "analyzer_predicate", "plan_for",
+    ),
+    ".runner": (
+        "EngineResult", "parallel_map", "resilient_map", "run", "run_dataset",
+        "run_files",
+    ),
+    ".units": ("SplitServeError", "WorkUnit", "plan_units", "unit_chunks"),
+})

@@ -93,10 +93,42 @@ def volume_seed(volume_id: str, salt: int = 0) -> int:
     return (zlib.crc32(volume_id.encode("utf-8")) ^ (salt * 0x9E3779B1)) & 0x7FFFFFFF
 
 
+def _linear_percentiles(sample: np.ndarray, percentiles) -> np.ndarray:
+    """``np.percentile(sample, percentiles)`` for a 1-D float64 ``sample``,
+    which it partitions in place.
+
+    The same arithmetic as numpy's default ``linear`` method, step for
+    step, so the values are bit-identical; it skips the ``np.unique`` of
+    the partition points, whose first call imports ``numpy.ma``.
+    """
+    q = np.true_divide(list(percentiles), 100)
+    if not (np.all(q >= 0) and np.all(q <= 1)):
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    n = len(sample)
+    virtual = (n - 1) * q
+    lo = np.floor(virtual)
+    hi = lo + 1
+    above = virtual >= n - 1
+    lo[above] = -1
+    hi[above] = -1
+    lo = lo.astype(np.intp)
+    hi = hi.astype(np.intp)
+    sample.partition(sorted({0, n - 1, *(lo % n).tolist(), *(hi % n).tolist()}))
+    if np.isnan(sample[-1]):
+        return np.full(len(q), sample[-1])
+    gamma = virtual - lo
+    below, above_values = sample[lo], sample[hi]
+    diff = above_values - below
+    values = np.add(below, diff * gamma)
+    np.subtract(above_values, diff * (1 - gamma), out=values, where=gamma >= 0.5)
+    return values
+
+
 def reservoir_percentiles(sampler, percentiles=DEFAULT_PERCENTILES) -> Dict[float, float]:
-    """``{percentile: value}`` estimates from a reservoir sample."""
+    """``{percentile: value}`` estimates from a reservoir sample
+    (numpy's default ``linear`` percentiles)."""
     sample = sampler.sample()
     if len(sample) == 0:
         return {}
-    values = np.percentile(sample, list(percentiles))
+    values = _linear_percentiles(sample, percentiles)
     return {float(p): float(v) for p, v in zip(percentiles, values)}

@@ -66,9 +66,7 @@ DEFAULT_RESERVOIR_SIZE = 4096
 
 
 def _new_reservoir(volume_id: str, salt: int, capacity: int) -> ReservoirSampler:
-    return ReservoirSampler(
-        capacity, np.random.default_rng(volume_seed(volume_id, salt))
-    )
+    return ReservoirSampler(capacity, seed=volume_seed(volume_id, salt))
 
 
 def _check_order(state_last: Optional[float], timestamps: np.ndarray) -> None:
@@ -286,11 +284,12 @@ class WorkingSetSketch:
 def _add_working_sets(total: HyperLogLog, read: HyperLogLog, write: HyperLogLog,
                       block_id: np.ndarray, is_write: np.ndarray) -> None:
     """Add a chunk's blocks to its total/read/write sketches (same ``p``
-    and seed): each block is hashed and ranked once."""
-    idx, ranks = total.positions(block_id)
-    total.add_positions(idx, ranks)
+    and seed): each block is hashed and ranked once, and the total is the
+    union of the read and write sketches."""
+    idx, ranks = read.positions(block_id)
     read.add_positions(idx[~is_write], ranks[~is_write])
     write.add_positions(idx[is_write], ranks[is_write])
+    total.update(read, write)
 
 
 class SpatialAnalyzer:

@@ -33,16 +33,29 @@ runner's historical behavior.
 from __future__ import annotations
 
 import math
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from time import perf_counter, sleep
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .. import faults
 from ..obs import metrics, timeline
 from ..obs.tracing import span
 from ..resilience import RetryPolicy, RunErrors, UnitFailure, UnitTimeoutError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "BACKENDS",
@@ -273,6 +286,11 @@ class ProcessBackend(ExecutionBackend):
         return max(1, state.workers)
 
     def execute(self, state: MapState) -> float:
+        # Imported here, not with the module: a serial run never needs
+        # the process-pool machinery (multiprocessing, sockets, pickling).
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         bound, items, labels = state.bound, state.items, state.labels
         attempts, allowance = state.attempts, state.allowance
         errors, outs, reg = state.errors, state.outs, state.reg

@@ -86,8 +86,6 @@ from ..obs import metrics, timeline
 from ..obs.tracing import span
 from ..resilience import (
     ON_ERROR_STRICT,
-    CheckpointConfig,
-    Checkpointer,
     ParseErrors,
     RetryPolicy,
     RunErrors,
@@ -109,6 +107,7 @@ from .plan import QueryPlan, RowPredicate, analyzer_predicate, plan_for
 from .units import WorkUnit, checkpoint_key, file_cost, plan_units, unit_chunks
 
 if TYPE_CHECKING:  # runtime import is lazy: repro.store imports the engine
+    from ..resilience import CheckpointConfig, Checkpointer
     from ..store import StoreConfig
 
 __all__ = [
@@ -534,11 +533,11 @@ def _fold_units(
     else:
         units = list(paths)
         priorities = [file_cost(p) for p in paths]
-    checkpointer = (
-        Checkpointer(checkpoint, [checkpoint_key(u) for u in units])
-        if checkpoint is not None
-        else None
-    )
+    checkpointer: Optional[Checkpointer] = None
+    if checkpoint is not None:
+        from ..resilience.checkpoint import Checkpointer
+
+        checkpointer = Checkpointer(checkpoint, [checkpoint_key(u) for u in units])
     pairs = _map_core(
         _fold_file,
         units,

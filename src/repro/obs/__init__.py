@@ -39,24 +39,29 @@ Quickstart::
     report = obs.metrics_report(reg)  # JSON-ready dict
 """
 
-from . import ledger, timeline
-from .logging import StructuredLogger, configure_logging, get_logger
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    collecting,
-    counter,
-    gauge,
-    get_registry,
-    histogram,
-    metrics_report,
-)
-from .tracing import disable as disable_tracing
-from .tracing import enable as enable_tracing
-from .tracing import enabled as tracing_enabled
-from .tracing import span, traced
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from . import ledger, timeline
+    from .logging import StructuredLogger, configure_logging, get_logger
+    from .metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        collecting,
+        counter,
+        gauge,
+        get_registry,
+        histogram,
+        metrics_report,
+    )
+    from .tracing import disable as disable_tracing
+    from .tracing import enable as enable_tracing
+    from .tracing import enabled as tracing_enabled
+    from .tracing import span, traced
 
 __all__ = [
     "ledger",
@@ -80,3 +85,16 @@ __all__ = [
     "disable_tracing",
     "tracing_enabled",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".": ("ledger", "timeline"),
+    ".logging": ("StructuredLogger", "configure_logging", "get_logger"),
+    ".metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "collecting", "counter",
+        "gauge", "get_registry", "histogram", "metrics_report",
+    ),
+    ".tracing": (
+        "disable as disable_tracing", "enable as enable_tracing",
+        "enabled as tracing_enabled", "span", "traced",
+    ),
+})

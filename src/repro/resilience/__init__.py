@@ -23,33 +23,38 @@ threads these through every fan-out; the CLI exposes them as
 for tests and chaos drills lives in :mod:`repro.faults`.
 """
 
-from .checkpoint import (
-    CheckpointConfig,
-    CheckpointError,
-    Checkpointer,
-    RunInterrupted,
-    graceful_interrupts,
-)
-from .policy import (
-    ON_ERROR_CHOICES,
-    ON_ERROR_QUARANTINE,
-    ON_ERROR_SKIP,
-    ON_ERROR_STRICT,
-    RetryPolicy,
-    UnitTimeoutError,
-    validate_on_error,
-)
-from .report import (
-    QUARANTINE_SAMPLE_PER_UNIT,
-    QUARANTINE_SAMPLE_TOTAL,
-    ParseErrors,
-    QuarantineRecord,
-    RunErrors,
-    StoreCorruption,
-    UnitFailure,
-    unit_label,
-    write_quarantine_jsonl,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .checkpoint import (
+        CheckpointConfig,
+        CheckpointError,
+        Checkpointer,
+        RunInterrupted,
+        graceful_interrupts,
+    )
+    from .policy import (
+        ON_ERROR_CHOICES,
+        ON_ERROR_QUARANTINE,
+        ON_ERROR_SKIP,
+        ON_ERROR_STRICT,
+        RetryPolicy,
+        UnitTimeoutError,
+        validate_on_error,
+    )
+    from .report import (
+        QUARANTINE_SAMPLE_PER_UNIT,
+        QUARANTINE_SAMPLE_TOTAL,
+        ParseErrors,
+        QuarantineRecord,
+        RunErrors,
+        StoreCorruption,
+        UnitFailure,
+        unit_label,
+        write_quarantine_jsonl,
+    )
 
 __all__ = [
     "CheckpointConfig",
@@ -74,3 +79,19 @@ __all__ = [
     "unit_label",
     "write_quarantine_jsonl",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".checkpoint": (
+        "CheckpointConfig", "CheckpointError", "Checkpointer", "RunInterrupted",
+        "graceful_interrupts",
+    ),
+    ".policy": (
+        "ON_ERROR_CHOICES", "ON_ERROR_QUARANTINE", "ON_ERROR_SKIP", "ON_ERROR_STRICT",
+        "RetryPolicy", "UnitTimeoutError", "validate_on_error",
+    ),
+    ".report": (
+        "QUARANTINE_SAMPLE_PER_UNIT", "QUARANTINE_SAMPLE_TOTAL", "ParseErrors",
+        "QuarantineRecord", "RunErrors", "StoreCorruption", "UnitFailure", "unit_label",
+        "write_quarantine_jsonl",
+    ),
+})

@@ -57,8 +57,9 @@ __all__ = [
     "graceful_interrupts",
 ]
 
-#: Bumped when the on-disk checkpoint payload shape changes incompatibly.
-CHECKPOINT_SCHEMA_VERSION = 1
+#: Bumped when the on-disk checkpoint payload shape changes incompatibly
+#: (2: reservoir samples pickle as float64 arrays with a lazy generator).
+CHECKPOINT_SCHEMA_VERSION = 2
 
 #: Default checkpoint root, relative to the working directory.
 DEFAULT_CHECKPOINT_DIR = os.path.join(".repro", "checkpoints")

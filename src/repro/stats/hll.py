@@ -44,6 +44,10 @@ def _bit_length(v: np.ndarray) -> np.ndarray:
     return np.frexp(np.where(big, top, v).astype(np.float64))[1] + 11 * big
 
 
+#: ``2.0 ** -r`` for every possible register value r (ranks stay below 64).
+_INV_POW2 = 2.0 ** -np.arange(65, dtype=np.float64)
+
+
 def _alpha(m: int) -> float:
     if m == 16:
         return 0.673
@@ -99,23 +103,31 @@ class HyperLogLog:
         """Raise registers ``idx`` to at least ``ranks`` (see :meth:`positions`)."""
         np.maximum.at(self._registers, idx, ranks)
 
+    def update(self, *others: "HyperLogLog") -> None:
+        """Union ``others`` into this sketch in place (must share p and seed).
+
+        A union is a register-wise max, so the registers equal those of
+        one sketch fed every item.
+        """
+        for other in others:
+            if self.p != other.p or self._seed != other._seed:
+                raise ValueError("can only merge sketches with identical p and seed")
+            np.maximum(self._registers, other._registers, out=self._registers)
+
     def merge(self, other: "HyperLogLog") -> "HyperLogLog":
         """Union of two sketches (must share p and seed)."""
-        if self.p != other.p or self._seed != other._seed:
-            raise ValueError("can only merge sketches with identical p and seed")
         merged = HyperLogLog(self.p)
         merged._seed = self._seed
-        merged._registers = np.maximum(self._registers, other._registers)
+        merged.update(self, other)
         return merged
 
     def estimate(self) -> float:
         """Estimated number of distinct items added."""
-        registers = self._registers.astype(np.float64)
-        raw = _alpha(self.m) * self.m**2 / np.sum(2.0 ** (-registers))
+        raw = _alpha(self.m) * self.m**2 / np.sum(_INV_POW2[self._registers])
         zeros = int(np.count_nonzero(self._registers == 0))
         if raw <= 2.5 * self.m and zeros:
             # Small-range correction: linear counting.
-            return self.m * np.log(self.m / zeros)
+            return float(self.m * np.log(self.m / zeros))
         return float(raw)
 
     def __len__(self) -> int:

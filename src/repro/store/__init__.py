@@ -38,43 +38,48 @@ Quickstart::
                  workers=4, store=store)                   # mmap forever
 """
 
-from .builder import IngestFileReport, build_entry, ingest_dir, ingest_file
-from .config import DEFAULT_STORE_DIRNAME, StoreConfig
-from .manifest import (
-    MANIFEST_NAME,
-    PARSER_VERSION,
-    STORE_FORMAT_VERSION,
-    UPGRADEABLE_VERSIONS,
-    Manifest,
-    SourceStamp,
-    ZoneMaps,
-    ZoneStats,
-    aligned_row_splits,
-    compatible_policy,
-    entry_dir,
-    segment_files,
-)
-from .reader import (
-    ENTRY_FRESH,
-    ENTRY_INCOMPATIBLE,
-    ENTRY_MISS,
-    ENTRY_STALE,
-    StoreEntry,
-    entry_status,
-    serve_chunks,
-    serve_range,
-    try_serve,
-)
-from .scrub import (
-    EntryIssue,
-    EntryReport,
-    ScrubReport,
-    file_sha256,
-    load_current_manifest,
-    scrub_store,
-    upgrade_entry,
-    verify_entry,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .builder import IngestFileReport, build_entry, ingest_dir, ingest_file
+    from .config import DEFAULT_STORE_DIRNAME, StoreConfig
+    from .manifest import (
+        MANIFEST_NAME,
+        PARSER_VERSION,
+        STORE_FORMAT_VERSION,
+        UPGRADEABLE_VERSIONS,
+        Manifest,
+        SourceStamp,
+        ZoneMaps,
+        ZoneStats,
+        aligned_row_splits,
+        compatible_policy,
+        entry_dir,
+        segment_files,
+    )
+    from .reader import (
+        ENTRY_FRESH,
+        ENTRY_INCOMPATIBLE,
+        ENTRY_MISS,
+        ENTRY_STALE,
+        StoreEntry,
+        entry_status,
+        serve_chunks,
+        serve_range,
+        try_serve,
+    )
+    from .scrub import (
+        EntryIssue,
+        EntryReport,
+        ScrubReport,
+        file_sha256,
+        load_current_manifest,
+        scrub_store,
+        upgrade_entry,
+        verify_entry,
+    )
 
 __all__ = [
     "DEFAULT_STORE_DIRNAME",
@@ -113,3 +118,21 @@ __all__ = [
     "upgrade_entry",
     "verify_entry",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".builder": ("IngestFileReport", "build_entry", "ingest_dir", "ingest_file"),
+    ".config": ("DEFAULT_STORE_DIRNAME", "StoreConfig"),
+    ".manifest": (
+        "MANIFEST_NAME", "PARSER_VERSION", "STORE_FORMAT_VERSION",
+        "UPGRADEABLE_VERSIONS", "Manifest", "SourceStamp", "ZoneMaps", "ZoneStats",
+        "aligned_row_splits", "compatible_policy", "entry_dir", "segment_files",
+    ),
+    ".reader": (
+        "ENTRY_FRESH", "ENTRY_INCOMPATIBLE", "ENTRY_MISS", "ENTRY_STALE", "StoreEntry",
+        "entry_status", "serve_chunks", "serve_range", "try_serve",
+    ),
+    ".scrub": (
+        "EntryIssue", "EntryReport", "ScrubReport", "file_sha256",
+        "load_current_manifest", "scrub_store", "upgrade_entry", "verify_entry",
+    ),
+})

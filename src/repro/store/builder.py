@@ -34,8 +34,10 @@ from .manifest import (
     Manifest,
     SourceStamp,
     ZoneMaps,
+    compatible_policy,
     entry_dir,
 )
+from .scrub import load_current_manifest
 
 __all__ = ["build_entry", "ingest_file", "ingest_dir", "IngestFileReport"]
 
@@ -326,9 +328,6 @@ def ingest_file(
     process pool.  A fresh entry whose build policy can serve ``on_error``
     is reused as-is unless ``force`` is set.
     """
-    from .manifest import compatible_policy
-    from .scrub import load_current_manifest
-
     entry = entry_dir(StoreConfig(dir=store_dir).dir_for(path), path)
     if not force:
         manifest = load_current_manifest(entry, path)

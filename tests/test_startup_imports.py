@@ -1,15 +1,23 @@
 """Start-up import guard: no ``repro`` command pays for what it does not run.
 
-The subpackage ``__init__``s re-export eagerly, so a module-level import
-of a heavy optional dependency anywhere under ``repro`` is paid by every
-command.  Each case below runs in a fresh interpreter and fails if scipy
-or the lint driver got loaded on the way.
+The subpackage roots re-export lazily (PEP 562, see ``repro._lazy``):
+importing a root loads none of its modules, and the first access of a
+name loads only the module that defines it.  A module-level import of a
+heavy dependency is still paid by every command whose path reaches that
+module.  Each case below runs in a fresh interpreter and fails if scipy,
+the lint driver, or a module the command never uses got loaded on the
+way.
 
 The same harness enforces the layering in DESIGN.md ("Layers"): the
 package root, the engine, the store and ``stream-analyze`` load nothing
-from the metric, simulator, generator or lint layers above them.
+from the metric, simulator, generator or lint layers above them.  The
+lazy tables themselves are checked against each root's ``if
+TYPE_CHECKING:`` block (the static import path) and ``__all__``.
 """
 
+import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -21,6 +29,7 @@ import pytest
 import repro
 import repro.stats
 import repro.trace
+from repro._lazy import _absolute
 from repro.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -30,6 +39,21 @@ FORBIDDEN = ("scipy", "repro.checks.driver")
 
 #: Packages above the engine and store; nothing below them may load one.
 UPPER_LAYERS = ("repro.core", "repro.cache", "repro.synth", "repro.cluster", "repro.checks")
+
+#: Package roots that resolve their ``__all__`` on first access.
+LAZY_ROOTS = (
+    "repro.trace", "repro.stats", "repro.store", "repro.resilience", "repro.obs",
+    "repro.engine", "repro.core", "repro.cache", "repro.synth",
+)
+
+#: Modules ``stream-analyze --no-store --workers 1`` has no use for: it
+#: builds no store entry, validates, samples and writes no trace, fits
+#: nothing, checkpoints nothing and starts no process pool.
+STREAM_UNUSED = (
+    "repro.store.builder", "repro.store.scrub", "repro.trace.validation",
+    "repro.trace.sampling", "repro.trace.writer", "repro.stats.fitting",
+    "repro.resilience.checkpoint", "multiprocessing", "concurrent.futures.process",
+)
 
 STATS_ALL = [
     "EmpiricalCDF", "BoxplotStats", "PAPER_PERCENTILES", "percentile_table",
@@ -117,6 +141,66 @@ def test_stream_analyze_loads_no_upper_layer(fleets):
     argv = ["stream-analyze", ali, "--no-store", "--workers", "1", "--no-ledger",
             "--output", os.path.join(root, "stream-layers.json")]
     assert _loaded_after(f"import repro.cli; repro.cli.main({argv!r})", UPPER_LAYERS) == []
+
+
+def test_stream_analyze_loads_only_what_it_uses(fleets):
+    ali, _, root = fleets
+    argv = ["stream-analyze", ali, "--no-store", "--workers", "1", "--no-ledger",
+            "--output", os.path.join(root, "stream-unused.json")]
+    assert _loaded_after(f"import repro.cli; repro.cli.main({argv!r})", STREAM_UNUSED) == []
+
+
+@pytest.mark.parametrize("root", LAZY_ROOTS)
+def test_lazy_root_loads_no_module_until_a_name_is_touched(root):
+    assert _loaded_after(f"import {root}", (f"{root}.",)) == []
+
+
+def test_touching_a_name_loads_only_its_module():
+    loaded = _loaded_after(
+        "import repro.trace; repro.trace.VolumeTrace", ("repro.trace.",)
+    )
+    assert loaded == ["repro.trace.dataset", "repro.trace.record"]
+
+
+def _type_checking_exports(module):
+    """``{public name: (absolute module, attribute)}`` of the root's
+    ``if TYPE_CHECKING:`` block, an empty attribute naming a submodule."""
+    tree = ast.parse(inspect.getsource(module))
+    blocks = [
+        stmt for stmt in tree.body
+        if isinstance(stmt, ast.If) and isinstance(stmt.test, ast.Name)
+        and stmt.test.id == "TYPE_CHECKING"
+    ]
+    assert len(blocks) == 1
+    exports = {}
+    for stmt in blocks[0].body:
+        assert isinstance(stmt, ast.ImportFrom) and stmt.level >= 1
+        base = _absolute("." * stmt.level + (stmt.module or ""), module.__name__)
+        for alias in stmt.names:
+            public = alias.asname or alias.name
+            assert public not in exports, public
+            if stmt.module:
+                exports[public] = (base, alias.name)
+            else:
+                exports[public] = (f"{base}.{alias.name}", "")
+    return exports
+
+
+@pytest.mark.parametrize("root", LAZY_ROOTS)
+def test_lazy_table_mirrors_type_checking_block_and_all(root):
+    module = importlib.import_module(root)
+    table = module.__getattr__.exports
+    assert table == _type_checking_exports(module)
+    assert sorted(table) == sorted(module.__all__)
+    assert len(set(module.__all__)) == len(module.__all__)
+    listed = dir(module)
+    for name, (owner, attr) in table.items():
+        defining = importlib.import_module(owner)
+        expected = getattr(defining, attr) if attr else defining
+        assert getattr(module, name) is expected, name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="no attribute 'not_exported'"):
+        module.not_exported
 
 
 def test_package_root_exports_only_its_version():

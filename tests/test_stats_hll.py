@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.engine.analyzers import _add_working_sets
 from repro.stats import HyperLogLog
-from repro.stats.hll import _bit_length
+from repro.stats.hll import _alpha, _bit_length
 
 _M64 = (1 << 64) - 1
 EDGE_ITEMS = [0, -1, 1, 2**62, -(2**62), -(2**63), 2**63 - 1]
@@ -132,3 +132,54 @@ class TestPositions:
         _add_working_sets(*shared, items, is_write)
         for a, b in zip(separate, shared):
             assert np.array_equal(a._registers, b._registers)
+
+    @pytest.mark.parametrize("chunks", [1, 3, 17])
+    def test_total_is_the_union_of_read_and_write(self, chunks):
+        rng = np.random.default_rng(chunks)
+        items = rng.integers(0, 50_000, 30_000)
+        is_write = rng.random(len(items)) < 0.3
+        sketches = [HyperLogLog(12, seed=4) for _ in range(3)]
+        for part in np.array_split(np.arange(len(items)), chunks):
+            _add_working_sets(*sketches, items[part], is_write[part])
+        fed_every_block = HyperLogLog(12, seed=4)
+        fed_every_block.add_many(items)
+        assert np.array_equal(sketches[0]._registers, fed_every_block._registers)
+
+    def test_update_requires_same_config(self):
+        with pytest.raises(ValueError):
+            HyperLogLog(10, seed=1).update(HyperLogLog(10, seed=2))
+
+
+def _power_formula_estimate(hll):
+    """``estimate`` as ``2.0 ** -registers``: the table lookup must equal it."""
+    registers = hll._registers.astype(np.float64)
+    raw = _alpha(hll.m) * hll.m**2 / np.sum(2.0 ** (-registers))
+    zeros = int(np.count_nonzero(hll._registers == 0))
+    if raw <= 2.5 * hll.m and zeros:
+        return hll.m * np.log(hll.m / zeros)
+    return float(raw)
+
+
+@pytest.mark.parametrize("p", range(4, 19))
+def test_estimate_equals_the_power_formula_bit_for_bit(p):
+    rng = np.random.default_rng(p)
+    max_rank = 64 - p + 1
+    for fill in (0.0, 0.02, 0.5, 1.0):
+        hll = HyperLogLog(p)
+        registers = rng.integers(1, max_rank + 1, hll.m, endpoint=False).astype(np.uint8)
+        registers[rng.random(hll.m) >= fill] = 0
+        registers[rng.integers(0, hll.m)] = max_rank
+        hll._registers = registers
+        got = hll.estimate()
+        assert type(got) is float
+        assert got == float(_power_formula_estimate(hll))
+
+
+def test_estimate_is_a_float_in_both_ranges():
+    small = HyperLogLog(10)
+    small.add_many(np.arange(10))
+    large = HyperLogLog(4)
+    large.add_many(np.arange(100_000))
+    assert type(small.estimate()) is float
+    assert type(large.estimate()) is float
+

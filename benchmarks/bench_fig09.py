@@ -7,7 +7,7 @@ are read-active for under 1.28 of 31 days vs 2.66 of 7 days in MSRC.
 
 import numpy as np
 
-from repro.core import active_period_seconds
+from repro.core import active_fractions
 from repro.stats import EmpiricalCDF
 
 from conftest import ALI_SCALE, MSRC_SCALE, run_once
@@ -15,18 +15,13 @@ from conftest import ALI_SCALE, MSRC_SCALE, run_once
 
 def test_fig9_active_periods(benchmark, ali, msrc):
     def compute():
-        out = {}
-        for name, ds, scale in (("AliCloud", ali, ALI_SCALE), ("MSRC", msrc, MSRC_SCALE)):
-            t0, t1 = 0.0, scale.duration
-            interval = scale.activity_interval
-            out[name] = {
-                op: np.array(
-                    [active_period_seconds(v, t0, t1, interval, op) for v in ds.volumes()]
-                )
-                / scale.duration
+        return {
+            name: {
+                op: active_fractions(ds, 0.0, scale.activity_interval, op)
                 for op in (None, "read", "write")
             }
-        return out
+            for name, ds, scale in (("AliCloud", ali, ALI_SCALE), ("MSRC", msrc, MSRC_SCALE))
+        }
 
     fracs = run_once(benchmark, compute)
     print()

@@ -7,9 +7,10 @@ Each lane names the repository-benchmark layer (``benchmarks/suite``,
 traced pass) its kernel feeds; a kernel win counts once it shows there:
 
 * request-to-block expansion -> ``trace.blocks.expand_to_blocks``,
-* the block view and every block metric reduced from it (one packed-key
-  sort per volume) -> ``core.findings.evaluate_findings``; the lane checks
-  a small trace against the naive replay in ``tests/block_oracle.py``,
+* the volume profile: the block view and every block metric reduced from
+  it (one packed-key sort per volume) -> ``core.compute_profile`` and
+  ``core.findings.evaluate_findings``; the lane checks a small trace
+  against the naive replay in ``tests/block_oracle.py``,
 * randomness-ratio computation (32-lag sliding-window minimum) ->
   ``core.compute_profile`` and ``core.findings.evaluate_findings``,
 * exact reuse distances (a merge-sort count over runs of previous
@@ -46,7 +47,7 @@ import pytest
 
 from repro.cache import LRUCache, reuse_distances, simulate_lru, simulate_stream
 from repro.core import adjacent_access_times, randomness_ratio
-from repro.core.volume_profile import summarize_blocks
+from repro.core.volume_profile import compute_profile
 from repro.engine import Chunk, StreamingProfileAnalyzer, iter_chunks
 from repro.stats import HyperLogLog
 from repro.trace import VolumeTrace
@@ -73,8 +74,8 @@ def test_kernel_expand_to_blocks(benchmark, kernel_trace):
 
 
 def test_kernel_block_view(benchmark, kernel_trace):
-    summary = benchmark(summarize_blocks, kernel_trace)
-    assert summary.working_sets.total > 0
+    profile = benchmark(compute_profile, kernel_trace)
+    assert profile.working_sets.total > 0
 
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
     from block_oracle import replay
@@ -84,13 +85,15 @@ def test_kernel_block_view(benchmark, kernel_trace):
     small = VolumeTrace("small", np.sort(rng.integers(0, 500, n)) * 0.5,
                         rng.integers(0, 2400, n) * 512, rng.choice([512, 4096, 12800], n),
                         rng.random(n) < 0.6, presorted=True)
-    got, want = summarize_blocks(small), replay(small)
+    got, want = compute_profile(small), replay(small)
     ws = got.working_sets
     assert (ws.total, ws.read, ws.write, ws.update) == want["working_sets"]
     assert got.update_traffic == want["update_traffic"]
     assert got.mostly_bytes == want["mostly_bytes"]
-    for key, value in got.top_traffic.items():
-        assert value == want["top"][key] or math.isnan(value) and math.isnan(want["top"][key])
+    for op in ("read", "write"):
+        for k in (0.01, 0.10):
+            value, expected = getattr(got, f"top{int(k * 100)}_{op}_traffic"), want["top"][op, k]
+            assert value == expected or math.isnan(value) and math.isnan(expected)
     assert {k: got.transitions.get(k).tolist() for k in want["transitions"]} == want["transitions"]
     assert got.update_intervals.tolist() == want["update_intervals"]
     for r in got.miss_ratios:

@@ -39,6 +39,7 @@ if TYPE_CHECKING:
         ActiveVolumeTimeseries,
         OverallIntensity,
         active_days,
+        active_fractions,
         active_period_seconds,
         active_volume_timeseries,
         average_intensity,
@@ -58,7 +59,6 @@ if TYPE_CHECKING:
         format_duration,
         format_table,
     )
-    from .seasonality import PeriodEstimate, autocorrelation, detect_period
     from .spatial import (
         DEFAULT_RANDOMNESS_THRESHOLD,
         DEFAULT_RANDOMNESS_WINDOW,
@@ -76,7 +76,6 @@ if TYPE_CHECKING:
     from .temporal import (
         TRANSITION_TYPES,
         AdjacentAccessTimes,
-        adjacent_access_counts,
         adjacent_access_times,
         dataset_adjacent_access_times,
         dataset_update_intervals,
@@ -96,6 +95,7 @@ __all__ = [
     "ActiveVolumeTimeseries",
     "OverallIntensity",
     "active_days",
+    "active_fractions",
     "active_period_seconds",
     "active_volume_timeseries",
     "average_intensity",
@@ -121,7 +121,6 @@ __all__ = [
     # temporal
     "TRANSITION_TYPES",
     "AdjacentAccessTimes",
-    "adjacent_access_counts",
     "adjacent_access_times",
     "dataset_adjacent_access_times",
     "dataset_update_intervals",
@@ -153,9 +152,6 @@ __all__ = [
     "concentration_curve",
     "fit_zipf",
     "ranked_block_traffic",
-    "PeriodEstimate",
-    "autocorrelation",
-    "detect_period",
     "FINDING_TITLES",
     "Finding",
     "evaluate_findings",
@@ -187,7 +183,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".load_intensity": (
         "DEFAULT_ACTIVITY_INTERVAL", "DEFAULT_PEAK_INTERVAL", "ActiveVolumeTimeseries",
-        "OverallIntensity", "active_days", "active_period_seconds",
+        "OverallIntensity", "active_days", "active_fractions", "active_period_seconds",
         "active_volume_timeseries", "average_intensity", "burstiness_ratio",
         "interarrival_percentile_groups", "interarrival_times", "overall_intensity",
         "peak_intensity", "write_read_ratio",
@@ -196,7 +192,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "ascii_cdf", "ascii_curve", "format_boxplot_rows", "format_bytes", "format_cdf",
         "format_duration", "format_table",
     ),
-    ".seasonality": ("PeriodEstimate", "autocorrelation", "detect_period"),
     ".spatial": (
         "DEFAULT_RANDOMNESS_THRESHOLD", "DEFAULT_RANDOMNESS_WINDOW", "MOSTLY_THRESHOLD",
         "MostlyTraffic", "WorkingSets", "dataset_mostly_traffic", "mostly_traffic",
@@ -204,9 +199,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "update_coverage", "working_sets",
     ),
     ".temporal": (
-        "TRANSITION_TYPES", "AdjacentAccessTimes", "adjacent_access_counts",
-        "adjacent_access_times", "dataset_adjacent_access_times",
-        "dataset_update_intervals", "update_intervals",
+        "TRANSITION_TYPES", "AdjacentAccessTimes", "adjacent_access_times",
+        "dataset_adjacent_access_times", "dataset_update_intervals", "update_intervals",
     ),
     ".volume_profile": ("VolumeProfile", "compute_profile"),
 })

@@ -196,7 +196,11 @@ def write_read_ratio_cdf(dataset: TraceDataset) -> EmpiricalCDF:
     clamped to one order of magnitude above the largest finite ratio, which
     preserves every threshold comparison the paper makes (>1, >100).
     """
-    ratios = [write_read_ratio(v) for v in dataset.volumes()]
+    return _ratio_cdf([write_read_ratio(v) for v in dataset.volumes()])
+
+
+def _ratio_cdf(ratios: List[float]) -> EmpiricalCDF:
+    """:func:`write_read_ratio_cdf` of per-volume ratios (NaN for empty)."""
     finite = [r for r in ratios if np.isfinite(r)]
     cap = (max(finite) if finite else 1.0) * 10
     cleaned = [cap if np.isinf(r) else r for r in ratios if not np.isnan(r)]

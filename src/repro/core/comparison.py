@@ -15,11 +15,11 @@ from typing import List, Optional
 import numpy as np
 
 from ..trace.dataset import TraceDataset
-from .aggregate import basic_statistics
-from .load_intensity import average_intensity, burstiness_ratio, write_read_ratio
+from .aggregate import _basic_statistics
 from .report import format_duration, format_table
-from .spatial import dataset_mostly_traffic, randomness_ratio, update_coverage
-from .temporal import dataset_adjacent_access_times
+from .spatial import _pool_mostly
+from .temporal import _pool_transitions
+from .volume_profile import _finite, _median_or_nan, compute_profile
 
 __all__ = ["DatasetSummary", "WorkloadComparison", "compare_datasets"]
 
@@ -46,34 +46,31 @@ class DatasetSummary:
 
 def _summarize(dataset: TraceDataset, peak_interval: float) -> DatasetSummary:
     volumes = dataset.non_empty_volumes()
-    if not volumes:
+    profiles = [compute_profile(v, peak_interval=peak_interval) for v in volumes]
+    if not profiles:
         raise ValueError(f"dataset {dataset.name!r} has no requests")
 
-    def med(fn) -> float:
-        vals = np.array([fn(v) for v in volumes], dtype=np.float64)
-        vals = vals[np.isfinite(vals)]
-        return float(np.median(vals)) if len(vals) else float("nan")
+    def med(values) -> float:
+        return _median_or_nan(_finite(values))
 
-    stats = basic_statistics(dataset)
-    times = dataset_adjacent_access_times(dataset)
+    stats = _basic_statistics(dataset, [(p.working_sets, p.update_traffic) for p in profiles], None)
+    times = _pool_transitions(p.transitions for p in profiles)
     counts = times.counts()
-    mostly = dataset_mostly_traffic(dataset)
-    wr = [write_read_ratio(v) for v in volumes]
     return DatasetSummary(
         name=dataset.name,
         n_volumes=dataset.n_volumes,
         n_requests=dataset.n_requests,
         write_read_ratio=dataset.n_writes / max(dataset.n_reads, 1),
-        frac_write_dominant=float(np.mean([r > 1 for r in wr])),
+        frac_write_dominant=float(np.mean([p.is_write_dominant for p in profiles])),
         read_wss_fraction=stats.read_wss_fraction,
-        median_intensity=med(average_intensity),
-        median_burstiness=med(lambda v: burstiness_ratio(v, peak_interval)),
-        median_randomness=med(randomness_ratio),
-        median_update_coverage=med(update_coverage),
-        writes_to_write_mostly=mostly.write_to_write_mostly,
+        median_intensity=med(p.average_intensity for p in profiles),
+        median_burstiness=med(p.burstiness_ratio for p in profiles),
+        median_randomness=med(p.randomness_ratio for p in profiles),
+        median_update_coverage=med(p.update_coverage for p in profiles),
+        writes_to_write_mostly=_pool_mostly(p.mostly_bytes for p in profiles).write_to_write_mostly,
         waw_raw_count_ratio=counts["WAW"] / max(counts["RAW"], 1),
-        median_waw_time=float(np.median(times.waw)) if len(times.waw) else float("nan"),
-        median_raw_time=float(np.median(times.raw)) if len(times.raw) else float("nan"),
+        median_waw_time=_median_or_nan(times.waw),
+        median_raw_time=_median_or_nan(times.raw),
     )
 
 

@@ -18,21 +18,13 @@ from ..stats.histogram import duration_group_fractions
 from ..trace.dataset import TraceDataset
 from .aggregate import (
     _basic_statistics,
+    _ratio_cdf,
     active_days_cdf,
     request_size_cdf,
     volume_mean_size_cdf,
-    write_read_ratio_cdf,
 )
 from .cache_analysis import DEFAULT_CACHE_FRACTIONS, _pool_miss_ratios
-from .load_intensity import (
-    active_period_seconds,
-    active_volume_timeseries,
-    average_intensity,
-    burstiness_ratio,
-    interarrival_percentile_groups,
-    overall_intensity,
-    peak_intensity,
-)
+from .load_intensity import active_fractions, active_volume_timeseries, overall_intensity
 from .report import (
     ascii_cdf,
     format_boxplot_rows,
@@ -41,15 +33,15 @@ from .report import (
     format_duration,
     format_table,
 )
-from .spatial import _pool_mostly, randomness_ratio
+from .spatial import _pool_mostly
 from .temporal import _concat, _pool_transitions
-from .volume_profile import BlockSummary, summarize_blocks
+from .volume_profile import VolumeProfile, _finite, _interarrival_groups, compute_profile
 
 __all__ = ["ExperimentContext", "render_experiments", "EXPERIMENTS"]
 
 
 class ExperimentContext:
-    """A dataset pair plus the time parameters the analyses need.
+    """A dataset pair, its volume profiles and the analyses' time parameters.
 
     ``day_seconds`` scales the paper's windows (1-minute peak, 10-minute
     activity, per-day activeness); use 86400 for real traces.
@@ -68,13 +60,16 @@ class ExperimentContext:
         self.day_seconds = day_seconds
         self.n_days_ali = n_days_ali
         self.n_days_msrc = n_days_msrc
-        self._blocks: Dict[int, List[BlockSummary]] = {}
+        self._profiles: Dict[int, List[VolumeProfile]] = {}
 
-    def blocks(self, ds: TraceDataset) -> List[BlockSummary]:
-        """Block summaries of ``ds``'s non-empty volumes, computed on first use."""
-        if id(ds) not in self._blocks:
-            self._blocks[id(ds)] = [summarize_blocks(v) for v in ds.non_empty_volumes()]
-        return self._blocks[id(ds)]
+    def profiles(self, ds: TraceDataset) -> List[VolumeProfile]:
+        """Profiles of ``ds``'s non-empty volumes, computed on first use."""
+        if id(ds) not in self._profiles:
+            self._profiles[id(ds)] = [
+                compute_profile(v, peak_interval=self.peak_interval)
+                for v in ds.non_empty_volumes()
+            ]
+        return self._profiles[id(ds)]
 
     @property
     def peak_interval(self) -> float:
@@ -90,7 +85,7 @@ class ExperimentContext:
 
 def _table1(ctx: ExperimentContext) -> str:
     a, m = (
-        _basic_statistics(ds, [(b.working_sets, b.update_traffic) for b in ctx.blocks(ds)], days)
+        _basic_statistics(ds, [(p.working_sets, p.update_traffic) for p in ctx.profiles(ds)], days)
         for ds, days in ((ctx.ali, ctx.n_days_ali), (ctx.msrc, ctx.n_days_msrc))
     )
     gib = 1024.0
@@ -148,7 +143,7 @@ def _fig3(ctx: ExperimentContext) -> str:
 def _fig4(ctx: ExperimentContext) -> str:
     lines = []
     for name, ds in ctx.pairs():
-        cdf = write_read_ratio_cdf(ds)
+        cdf = _ratio_cdf([p.write_read_ratio for p in ctx.profiles(ds)])
         lines.append(
             format_cdf(cdf, f"Fig4 {name} W:R ratios", (25, 50, 75, 90))
             + f"  [write-dominant: {cdf.fraction_above(1.0):.1%}, "
@@ -161,11 +156,9 @@ def _fig4(ctx: ExperimentContext) -> str:
 def _fig5(ctx: ExperimentContext) -> str:
     lines = []
     for name, ds in ctx.pairs():
-        avg = np.array([average_intensity(v) for v in ds.volumes() if len(v) > 1])
-        avg = avg[np.isfinite(avg)]
-        peak = np.array(
-            [peak_intensity(v, ctx.peak_interval) for v in ds.volumes() if len(v) > 1]
-        )
+        profiles = [p for p in ctx.profiles(ds) if p.n_requests > 1]
+        avg = _finite(p.average_intensity for p in profiles)
+        peak = np.array([p.peak_intensity for p in profiles])
         lines.append(
             f"Fig5 {name}: median avg {np.median(avg):.2f} req/s, "
             f"frac<10 {np.mean(avg < 10):.1%}, frac>100 {np.mean(avg > 100):.1%}, "
@@ -178,10 +171,7 @@ def _fig6_table2(ctx: ExperimentContext) -> str:
     lines = []
     rows = []
     for name, ds in ctx.pairs():
-        ratios = np.array(
-            [burstiness_ratio(v, ctx.peak_interval) for v in ds.volumes() if len(v) > 1]
-        )
-        ratios = ratios[np.isfinite(ratios)]
+        ratios = _finite(p.burstiness_ratio for p in ctx.profiles(ds) if p.n_requests > 1)
         lines.append(
             f"Fig6 {name}: frac<10 {np.mean(ratios < 10):.1%}, "
             f"frac>100 {np.mean(ratios > 100):.1%}, "
@@ -199,7 +189,7 @@ def _fig6_table2(ctx: ExperimentContext) -> str:
 def _fig7(ctx: ExperimentContext) -> str:
     lines = []
     for name, ds in ctx.pairs():
-        groups = interarrival_percentile_groups(ds, (25, 50, 75, 90, 95))
+        groups = _interarrival_groups(ctx.profiles(ds))
         lines.append(
             format_boxplot_rows(
                 {f"p{int(p)}": v for p, v in groups.items()},
@@ -226,13 +216,8 @@ def _fig8(ctx: ExperimentContext) -> str:
 def _fig9(ctx: ExperimentContext) -> str:
     lines = []
     for name, ds in ctx.pairs():
-        t0, t1 = 0.0, ds.end_time
-        span = max(t1 - t0, ctx.activity_interval)
         for op, label in ((None, "active"), ("read", "read-active"), ("write", "write-active")):
-            fracs = np.array(
-                [active_period_seconds(v, t0, t1, ctx.activity_interval, op) / span
-                 for v in ds.volumes()]
-            )
+            fracs = active_fractions(ds, 0.0, ctx.activity_interval, op)
             lines.append(
                 f"Fig9 {name} {label}: median {np.median(fracs):.1%}, "
                 f">=95%: {np.mean(fracs >= 0.95):.1%} of volumes"
@@ -243,8 +228,7 @@ def _fig9(ctx: ExperimentContext) -> str:
 def _fig10(ctx: ExperimentContext) -> str:
     lines = []
     for name, ds in ctx.pairs():
-        ratios = np.array([randomness_ratio(v) for v in ds.non_empty_volumes()])
-        ratios = ratios[np.isfinite(ratios)]
+        ratios = _finite(p.randomness_ratio for p in ctx.profiles(ds))
         lines.append(
             f"Fig10 {name}: median randomness {np.median(ratios):.1%}, "
             f"frac>50% {np.mean(ratios > 0.5):.1%}, max {ratios.max():.1%}"
@@ -255,11 +239,10 @@ def _fig10(ctx: ExperimentContext) -> str:
 def _fig11(ctx: ExperimentContext) -> str:
     lines = []
     for name, ds in ctx.pairs():
-        samples = {}
-        for op in ("read", "write"):
-            for frac in (0.01, 0.10):
-                vals = np.array([b.top_traffic[op, frac] for b in ctx.blocks(ds)])
-                samples[f"{op} top-{int(frac * 100)}%"] = vals[np.isfinite(vals)]
+        samples = {
+            f"{op} top-{k}%": _finite(getattr(p, f"top{k}_{op}_traffic") for p in ctx.profiles(ds))
+            for op in ("read", "write") for k in (1, 10)
+        }
         lines.append(
             format_boxplot_rows(samples, title=f"Fig11 {name}: traffic in hottest blocks")
         )
@@ -267,7 +250,7 @@ def _fig11(ctx: ExperimentContext) -> str:
 
 
 def _fig12_table3(ctx: ExperimentContext) -> str:
-    a, m = (_pool_mostly(b.mostly_bytes for b in ctx.blocks(ds)) for ds in (ctx.ali, ctx.msrc))
+    a, m = (_pool_mostly(p.mostly_bytes for p in ctx.profiles(ds)) for ds in (ctx.ali, ctx.msrc))
     rows = [
         ["Reads to read-mostly blocks (%)", a.read_to_read_mostly * 100, m.read_to_read_mostly * 100],
         ["Writes to write-mostly blocks (%)", a.write_to_write_mostly * 100, m.write_to_write_mostly * 100],
@@ -278,8 +261,7 @@ def _fig12_table3(ctx: ExperimentContext) -> str:
 def _fig13_table4(ctx: ExperimentContext) -> str:
     rows = []
     for name, ds in ctx.pairs():
-        cov = np.array([b.working_sets.update_coverage for b in ctx.blocks(ds)])
-        cov = cov[np.isfinite(cov)]
+        cov = _finite(p.update_coverage for p in ctx.profiles(ds))
         rows.append(
             [name, np.mean(cov) * 100, np.median(cov) * 100, np.percentile(cov, 90) * 100]
         )
@@ -293,7 +275,7 @@ def _fig14_15_table5(ctx: ExperimentContext) -> str:
     lines = []
     rows = []
     for name, ds in ctx.pairs():
-        at = _pool_transitions(b.transitions for b in ctx.blocks(ds))
+        at = _pool_transitions(p.transitions for p in ctx.profiles(ds))
         counts = at.counts()
         rows.append([name, counts["RAW"], counts["WAW"], counts["RAR"], counts["WAR"]])
         for kind in ("RAW", "WAW", "RAR", "WAR"):
@@ -315,15 +297,15 @@ def _fig16_17_table6(ctx: ExperimentContext) -> str:
     rows = []
     boundaries = [ctx.day_seconds * h / 24.0 for h in (5 / 60, 30 / 60, 240 / 60)]
     for name, ds in ctx.pairs():
-        pooled = _concat(b.update_intervals for b in ctx.blocks(ds))
+        pooled = _concat(p.update_intervals for p in ctx.profiles(ds))
         if len(pooled) == 0:
             continue
         values = np.percentile(pooled, (25, 50, 75, 90, 95))
         rows.append([name] + [format_duration(v) for v in values])
         per_volume = [
-            duration_group_fractions(b.update_intervals, boundaries)
-            for b in ctx.blocks(ds)
-            if len(b.update_intervals)
+            duration_group_fractions(p.update_intervals, boundaries)
+            for p in ctx.profiles(ds)
+            if len(p.update_intervals)
         ]
         fracs = np.array(per_volume)
         lines.append(
@@ -344,7 +326,7 @@ def _fig16_17_table6(ctx: ExperimentContext) -> str:
 def _fig18(ctx: ExperimentContext) -> str:
     lines = []
     for name, ds in ctx.pairs():
-        mr = _pool_miss_ratios((b.miss_ratios for b in ctx.blocks(ds)), DEFAULT_CACHE_FRACTIONS)
+        mr = _pool_miss_ratios((p.miss_ratios for p in ctx.profiles(ds)), DEFAULT_CACHE_FRACTIONS)
         lines.append(
             format_boxplot_rows(
                 {
@@ -405,11 +387,11 @@ def render_experiments(
         end = start + len(low_sel)
         return end >= len(low_id) or not low_id[end].isalnum()
 
-    blocks = []
+    sections = []
     for exp_id, renderer in EXPERIMENTS:
         if only and not any(matches(sel, exp_id) for sel in only):
             continue
-        blocks.append(f"=== {exp_id} " + "=" * max(1, 60 - len(exp_id)))
-        blocks.append(renderer(ctx))
-        blocks.append("")
-    return "\n".join(blocks)
+        sections.append(f"=== {exp_id} " + "=" * max(1, 60 - len(exp_id)))
+        sections.append(renderer(ctx))
+        sections.append("")
+    return "\n".join(sections)

@@ -10,23 +10,16 @@ depend on the production environment.  ``evaluate_findings`` returns one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 import numpy as np
 
 from ..trace.dataset import TraceDataset
 from .cache_analysis import DEFAULT_CACHE_FRACTIONS, _pool_miss_ratios
-from .load_intensity import (
-    active_period_seconds,
-    active_volume_timeseries,
-    average_intensity,
-    burstiness_ratio,
-    interarrival_percentile_groups,
-    overall_intensity,
-)
-from .spatial import _pool_mostly, randomness_ratio
+from .load_intensity import active_fractions, active_volume_timeseries, overall_intensity
+from .spatial import _pool_mostly
 from .temporal import _concat, _pool_transitions
-from .volume_profile import summarize_blocks
+from .volume_profile import _finite, _interarrival_groups, _median_or_nan, compute_profile
 
 __all__ = ["Finding", "evaluate_findings", "FINDING_TITLES"]
 
@@ -63,13 +56,44 @@ class Finding:
         return f"Finding {self.id:2d} [{status}]: {self.title}"
 
 
-def _finite(values: List[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr[np.isfinite(arr)]
+def _spread(arr: np.ndarray) -> float:
+    if len(arr) < 10:
+        return float("nan")
+    p25, p95 = np.percentile(arr, [25, 95])
+    return float(p95 / max(p25, 1e-9))
 
 
-def _volume_metric(dataset: TraceDataset, fn: Callable) -> np.ndarray:
-    return _finite([fn(v) for v in dataset.volumes() if len(v)])
+def _side(
+    dataset: TraceDataset, block_size: int, peak_interval: float, activity_interval: float
+) -> Dict[str, Any]:
+    """One side's statistics from its volume profiles, which are dropped on
+    return so that one side's pooled arrays are held at a time."""
+    side: Dict[str, Any] = {
+        "overall": overall_intensity(dataset, peak_interval),
+        "timeseries": active_volume_timeseries(dataset, activity_interval),
+        "active": active_fractions(dataset, dataset.start_time, activity_interval),
+    }
+    profiles = [
+        compute_profile(v, block_size, peak_interval) for v in dataset.non_empty_volumes()
+    ]
+    groups = _interarrival_groups(profiles)
+    transitions = _pool_transitions(p.transitions for p in profiles)
+    side.update(
+        avg=_finite(p.average_intensity for p in profiles),
+        burst=_finite(p.burstiness_ratio for p in profiles),
+        interarrival={q: float(np.median(groups[q])) for q in (25.0, 50.0, 75.0) if len(groups[q])},
+        randomness=_finite(p.randomness_ratio for p in profiles),
+        top10_read=_finite(p.top10_read_traffic for p in profiles),
+        top10_write=_finite(p.top10_write_traffic for p in profiles),
+        mostly=_pool_mostly(p.mostly_bytes for p in profiles),
+        coverage=_finite(p.update_coverage for p in profiles),
+        counts=transitions.counts(),
+        median={k: _median_or_nan(transitions.get(k)) for k in ("RAW", "WAW", "RAR", "WAR")},
+        miss=_pool_miss_ratios((p.miss_ratios for p in profiles), DEFAULT_CACHE_FRACTIONS),
+    )
+    del transitions
+    side["spread"] = _spread(_concat(p.update_intervals for p in profiles))
+    return side
 
 
 def evaluate_findings(
@@ -86,19 +110,18 @@ def evaluate_findings(
     fleets pass ``scale.peak_interval`` / ``scale.activity_interval`` so
     the windows compress with the trace.
     """
+    a = _side(ali, block_size, peak_interval, activity_interval)
+    m = _side(msrc, block_size, peak_interval, activity_interval)
     findings: List[Finding] = []
 
     # --- Load intensity -----------------------------------------------------
-    ali_avg = _volume_metric(ali, average_intensity)
-    msrc_avg = _volume_metric(msrc, average_intensity)
-
     # Finding 1: similar per-volume intensity distributions — medians within
     # one order of magnitude and both dominated by <100 req/s volumes.
-    med_a, med_m = float(np.median(ali_avg)), float(np.median(msrc_avg))
+    med_a, med_m = float(np.median(a["avg"])), float(np.median(m["avg"]))
     f1 = (
         0.1 <= med_a / med_m <= 10
-        and float(np.mean(ali_avg < 100)) > 0.9
-        and float(np.mean(msrc_avg < 100)) > 0.9
+        and float(np.mean(a["avg"] < 100)) > 0.9
+        and float(np.mean(m["avg"] < 100)) > 0.9
     )
     findings.append(
         Finding(1, FINDING_TITLES[1], f1, {"median_avg_intensity": (med_a, med_m)})
@@ -106,12 +129,9 @@ def evaluate_findings(
 
     # Finding 2: >=10% of volumes with burstiness > 100 in each trace, but
     # overall (aggregated) burstiness far below the bursty volumes' level.
-    ali_burst = _volume_metric(ali, lambda v: burstiness_ratio(v, peak_interval))
-    msrc_burst = _volume_metric(msrc, lambda v: burstiness_ratio(v, peak_interval))
-    ov_a = overall_intensity(ali, peak_interval)
-    ov_m = overall_intensity(msrc, peak_interval)
-    frac_bursty_a = float(np.mean(ali_burst > 100))
-    frac_bursty_m = float(np.mean(msrc_burst > 100))
+    ov_a, ov_m = a["overall"], m["overall"]
+    frac_bursty_a = float(np.mean(a["burst"] > 100))
+    frac_bursty_m = float(np.mean(m["burst"] > 100))
     f2 = (
         frac_bursty_a > 0.05
         and frac_bursty_m > 0.05
@@ -132,8 +152,8 @@ def evaluate_findings(
 
     # Finding 3: AliCloud spans a wider burstiness range: more volumes at
     # both the low (<10) and the high (>1000) extremes.
-    lo_a, lo_m = float(np.mean(ali_burst < 10)), float(np.mean(msrc_burst < 10))
-    hi_a, hi_m = float(np.mean(ali_burst > 1000)), float(np.mean(msrc_burst > 1000))
+    lo_a, lo_m = float(np.mean(a["burst"] < 10)), float(np.mean(m["burst"] < 10))
+    hi_a, hi_m = float(np.mean(a["burst"] > 1000)), float(np.mean(m["burst"] > 1000))
     f3 = lo_a > lo_m and hi_a >= hi_m
     findings.append(
         Finding(3, FINDING_TITLES[3], f3, {"frac_lt_10": (lo_a, lo_m), "frac_gt_1000": (hi_a, hi_m)})
@@ -141,41 +161,24 @@ def evaluate_findings(
 
     # Finding 4: medians of the 25/50/75th per-volume inter-arrival
     # percentiles are sub-second (high short-term burstiness) in both.
-    ia_a = interarrival_percentile_groups(ali, (25, 50, 75))
-    ia_m = interarrival_percentile_groups(msrc, (25, 50, 75))
-    med_ia_a = {p: float(np.median(v)) for p, v in ia_a.items() if len(v)}
-    med_ia_m = {p: float(np.median(v)) for p, v in ia_m.items() if len(v)}
+    med_ia_a, med_ia_m = a["interarrival"], m["interarrival"]
     f4 = all(v < 2.0 for v in med_ia_a.values()) and all(v < 2.0 for v in med_ia_m.values())
     findings.append(
         Finding(4, FINDING_TITLES[4], f4, {"median_percentiles_ali": med_ia_a, "median_percentiles_msrc": med_ia_m})
     )
 
-    # Findings 5-7 share the activity time series.
-    interval = activity_interval
-    ts_a = active_volume_timeseries(ali, interval)
-    ts_m = active_volume_timeseries(msrc, interval)
-
-    def active_fracs(dataset: TraceDataset, op=None) -> np.ndarray:
-        t0, t1 = dataset.start_time, dataset.end_time
-        span = max(t1 - t0, interval)
-        return np.array(
-            [
-                active_period_seconds(v, t0, t1, interval, op) / span
-                for v in dataset.volumes()
-            ]
-        )
-
-    act_a, act_m = active_fracs(ali), active_fracs(msrc)
     # Finding 5: majority of volumes active >=95% of the trace period in
     # both, with AliCloud at least as active.
-    frac95_a = float(np.mean(act_a >= 0.95))
-    frac95_m = float(np.mean(act_m >= 0.95))
+    frac95_a = float(np.mean(a["active"] >= 0.95))
+    frac95_m = float(np.mean(m["active"] >= 0.95))
     f5 = frac95_a > 0.5 and frac95_m > 0.4 and frac95_a >= frac95_m
     findings.append(
         Finding(5, FINDING_TITLES[5], f5, {"frac_active_95pct": (frac95_a, frac95_m)})
     )
 
     # Finding 6: the write-active volume count tracks the active count.
+    ts_a, ts_m = a["timeseries"], m["timeseries"]
+
     def overlap(ts) -> float:
         denom = np.maximum(ts.active, 1)
         return float(np.mean(ts.write_active / denom))
@@ -198,8 +201,7 @@ def evaluate_findings(
     )
 
     # --- Spatial patterns ---------------------------------------------------
-    rnd_a = _volume_metric(ali, randomness_ratio)
-    rnd_m = _volume_metric(msrc, randomness_ratio)
+    rnd_a, rnd_m = a["randomness"], m["randomness"]
     f8 = float(np.median(rnd_a)) > float(np.median(rnd_m)) and float(np.mean(rnd_a > 0.5)) > 0.1
     findings.append(
         Finding(
@@ -210,41 +212,10 @@ def evaluate_findings(
         )
     )
 
-    def med(arr: np.ndarray) -> float:
-        return float(np.median(arr)) if len(arr) else float("nan")
-
-    def spread(arr: np.ndarray) -> float:
-        if len(arr) < 10:
-            return float("nan")
-        p25, p95 = np.percentile(arr, [25, 95])
-        return float(p95 / max(p25, 1e-9))
-
-    # Findings 9-15 reduce one block summary per volume.  Each side keeps
-    # only the statistics it needs, so one side's pooled arrays are gone
-    # before the next side's are built.
-    def block_side(dataset: TraceDataset) -> Dict[str, Any]:
-        blocks = [summarize_blocks(v, block_size) for v in dataset.non_empty_volumes()]
-        transitions = _pool_transitions(b.transitions for b in blocks)
-        side = {
-            "top10": tuple(
-                _finite([b.top_traffic[op, 0.10] for b in blocks]) for op in ("read", "write")
-            ),
-            "mostly": _pool_mostly(b.mostly_bytes for b in blocks),
-            "coverage": _finite([b.working_sets.update_coverage for b in blocks]),
-            "counts": transitions.counts(),
-            "median": {k: med(transitions.get(k)) for k in ("RAW", "WAW", "RAR", "WAR")},
-            "miss": _pool_miss_ratios((b.miss_ratios for b in blocks), DEFAULT_CACHE_FRACTIONS),
-        }
-        del transitions
-        side["spread"] = spread(_concat(b.update_intervals for b in blocks))
-        return side
-
-    side_a, side_m = block_side(ali), block_side(msrc)
-
     # Finding 9: top-10% blocks absorb far more than 10% of traffic for the
     # median volume, and write aggregation beats read aggregation.
-    r10_a, w10_a = side_a["top10"]
-    r10_m, w10_m = side_m["top10"]
+    r10_a, w10_a = a["top10_read"], a["top10_write"]
+    r10_m, w10_m = m["top10_read"], m["top10_write"]
     f9 = (
         float(np.median(w10_a)) > 0.15
         and float(np.median(w10_m)) > 0.15
@@ -264,7 +235,7 @@ def evaluate_findings(
 
     # Finding 10: AliCloud read and write traffic mostly goes to read-mostly
     # and write-mostly blocks; MSRC write aggregation is weak.
-    m_a, m_m = side_a["mostly"], side_m["mostly"]
+    m_a, m_m = a["mostly"], m["mostly"]
     f10 = (
         m_a.read_to_read_mostly > 0.5
         and m_a.write_to_write_mostly > 0.5
@@ -284,7 +255,7 @@ def evaluate_findings(
     )
 
     # Finding 11: AliCloud update coverage higher (median) and diverse.
-    uc_a, uc_m = side_a["coverage"], side_m["coverage"]
+    uc_a, uc_m = a["coverage"], m["coverage"]
     f11 = float(np.median(uc_a)) > float(np.median(uc_m)) and float(np.std(uc_a)) > 0.1
     findings.append(
         Finding(
@@ -296,8 +267,8 @@ def evaluate_findings(
     )
 
     # --- Temporal patterns ----------------------------------------------------
-    counts_a, counts_m = side_a["counts"], side_m["counts"]
-    med_a, med_m = side_a["median"], side_m["median"]
+    counts_a, counts_m = a["counts"], m["counts"]
+    med_a, med_m = a["median"], m["median"]
 
     # Finding 12: RAW time >> WAW time in both; in AliCloud the WAW count
     # is several times the RAW count.
@@ -344,7 +315,7 @@ def evaluate_findings(
 
     # Finding 14: update intervals span orders of magnitude within each
     # trace (p95/p25 huge) — "varying update intervals".
-    spread_a, spread_m = side_a["spread"], side_m["spread"]
+    spread_a, spread_m = a["spread"], m["spread"]
     f14 = spread_a > 30 and spread_m > 30
     findings.append(
         Finding(14, FINDING_TITLES[14], f14, {"p95_over_p25": (spread_a, spread_m)})
@@ -352,7 +323,7 @@ def evaluate_findings(
 
     # Finding 15: some volumes already effective at a 1% cache, and the
     # AliCloud-side 25th-percentile read miss ratio drops more from 1%->10%.
-    mr_a, mr_m = side_a["miss"], side_m["miss"]
+    mr_a, mr_m = a["miss"], m["miss"]
 
     def q25(arr: np.ndarray) -> float:
         return float(np.percentile(arr, 25)) if len(arr) else float("nan")

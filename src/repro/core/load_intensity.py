@@ -29,6 +29,7 @@ __all__ = [
     "ActiveVolumeTimeseries",
     "active_volume_timeseries",
     "active_period_seconds",
+    "active_fractions",
     "DEFAULT_PEAK_INTERVAL",
     "DEFAULT_ACTIVITY_INTERVAL",
 ]
@@ -72,10 +73,13 @@ def burstiness_ratio(trace: VolumeTrace, interval: float = DEFAULT_PEAK_INTERVAL
     Undefined (NaN) for volumes whose average intensity is zero or
     infinite.
     """
-    avg = average_intensity(trace)
-    if avg <= 0 or not np.isfinite(avg):
+    return _burstiness(peak_intensity(trace, interval), average_intensity(trace))
+
+
+def _burstiness(peak: float, average: float) -> float:
+    if average <= 0 or not np.isfinite(average):
         return float("nan")
-    return peak_intensity(trace, interval) / avg
+    return peak / average
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ def overall_intensity(
     duration = merged[-1] - merged[0]
     avg = len(merged) / duration if duration > 0 else float("inf")
     peak = max_interval_count(merged, interval) / interval
-    return OverallIntensity(peak_req_per_s=peak, average_req_per_s=avg)
+    return OverallIntensity(peak_req_per_s=float(peak), average_req_per_s=float(avg))
 
 
 def interarrival_times(trace: VolumeTrace) -> np.ndarray:
@@ -209,3 +213,19 @@ def active_period_seconds(
     else:
         raise ValueError(f"op must be None, 'read', or 'write', got {op!r}")
     return float(interval_activity(ts, interval, t0, t1).sum()) * interval
+
+
+def active_fractions(
+    dataset: TraceDataset,
+    origin: float,
+    interval: float = DEFAULT_ACTIVITY_INTERVAL,
+    op: Optional[str] = None,
+) -> np.ndarray:
+    """Per volume, in dataset order, the share of ``[origin, dataset end]``
+    it is (``op``-)active, by :func:`active_period_seconds` (Figure 9,
+    Finding 5); spans shorter than one interval count as one interval."""
+    end = dataset.end_time
+    span = max(end - origin, interval)
+    return np.array(
+        [active_period_seconds(v, origin, end, interval, op) / span for v in dataset.volumes()]
+    )

@@ -23,7 +23,6 @@ __all__ = [
     "AdjacentAccessTimes",
     "adjacent_access_times",
     "dataset_adjacent_access_times",
-    "adjacent_access_counts",
     "update_intervals",
     "dataset_update_intervals",
 ]
@@ -106,13 +105,6 @@ def dataset_adjacent_access_times(
     return _pool_transitions(
         adjacent_access_times(v, block_size) for v in dataset.non_empty_volumes()
     )
-
-
-def adjacent_access_counts(
-    dataset: TraceDataset, block_size: int = DEFAULT_BLOCK_SIZE
-) -> Dict[str, int]:
-    """Fleet-level RAW/WAW/RAR/WAR counts (paper Table V)."""
-    return dataset_adjacent_access_times(dataset, block_size).counts()
 
 
 def _update_intervals(view: BlockView) -> np.ndarray:

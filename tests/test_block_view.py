@@ -18,6 +18,7 @@ from conftest import make_trace
 from repro.core import (
     adjacent_access_times,
     basic_statistics,
+    compare_datasets,
     compute_profile,
     dataset_adjacent_access_times,
     dataset_miss_ratios,
@@ -32,7 +33,6 @@ from repro.core import (
     volume_miss_ratios,
     working_sets,
 )
-from repro.core.volume_profile import summarize_blocks
 from repro.obs import collecting
 from repro.trace import TraceDataset, VolumeTrace
 
@@ -108,16 +108,23 @@ class TestPerVolume:
         assert _miss(volume_miss_ratios(trace, CACHE_FRACTIONS)) == want["miss"]
 
     def test_summary_matches_oracle(self, trace):
+        """The block part of the volume profile."""
         want = replay(trace)
-        got = summarize_blocks(trace)
+        got = compute_profile(trace)
         ws = got.working_sets
         assert (ws.total, ws.read, ws.write, ws.update) == want["working_sets"]
         assert got.update_traffic == want["update_traffic"]
-        assert _same(got.working_sets.update_coverage, want["update_coverage"])
-        for key, value in got.top_traffic.items():
-            assert _same(value, want["top"][key]), key
+        assert _same(got.update_coverage, want["update_coverage"])
+        for op in ("read", "write"):
+            for k in (0.01, 0.10):
+                value = getattr(got, f"top{int(k * 100)}_{op}_traffic")
+                assert _same(value, want["top"][op, k]), (op, k)
         assert got.mostly_bytes == want["mostly_bytes"]
+        assert _same((got.read_to_read_mostly, got.write_to_write_mostly), want["mostly"])
         assert _transitions(got.transitions) == want["transitions"]
+        for kind, times in want["transitions"].items():
+            median = float(np.median(times)) if times else float("nan")
+            assert _same(getattr(got, f"median_{kind}_time"), median), kind
         assert got.update_intervals.tolist() == want["update_intervals"]
         assert _miss(got.miss_ratios) == {f: want["miss"][f] for f in (0.01, 0.10) if want["miss"]}
 
@@ -179,3 +186,7 @@ class TestOneViewPerVolume:
     def test_render_experiments(self, tiny_ali, tiny_msrc):
         want = len(tiny_ali.non_empty_volumes()) + len(tiny_msrc.non_empty_volumes())
         assert self._expansions(render_experiments, tiny_ali, tiny_msrc, 600.0) == want
+
+    def test_compare_datasets(self, tiny_ali, tiny_msrc):
+        want = len(tiny_ali.non_empty_volumes()) + len(tiny_msrc.non_empty_volumes())
+        assert self._expansions(compare_datasets, tiny_ali, tiny_msrc) == want

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     active_days,
+    active_fractions,
     active_period_seconds,
     active_volume_timeseries,
     average_intensity,
@@ -141,6 +142,18 @@ class TestActiveness:
         assert active_period_seconds(v0, 0.0, 30.0, interval=10.0, op="read") == pytest.approx(10.0)
         # v0 writes at t=0, 20, 30: buckets [0,10) and [20,30] (t=30 clamps).
         assert active_period_seconds(v0, 0.0, 30.0, interval=10.0, op="write") == pytest.approx(20.0)
+
+    def test_active_fractions(self, simple_dataset):
+        # Each volume's active seconds over the span from the origin to the
+        # dataset's end (t=30), in dataset order.
+        want = [
+            active_period_seconds(v, 0.0, 30.0, 10.0, "write") / 30.0
+            for v in simple_dataset.volumes()
+        ]
+        got = active_fractions(simple_dataset, 0.0, interval=10.0, op="write")
+        assert got.tolist() == want
+        # A span shorter than one interval counts as one interval.
+        assert active_fractions(simple_dataset, 29.0, interval=10.0)[0] == pytest.approx(1.0)
 
     def test_active_period_rejects_bad_op(self, simple_dataset):
         with pytest.raises(ValueError):

@@ -3,11 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.core import FINDING_TITLES, compute_profile, evaluate_findings
+from repro.core import (
+    FINDING_TITLES,
+    burstiness_ratio,
+    compute_profile,
+    evaluate_findings,
+    interarrival_percentile_groups,
+    peak_intensity,
+)
+from repro.core.volume_profile import _interarrival_groups
 
 from conftest import TEST_SCALE, make_trace
 
 BS = 4096
+
+
+def _same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
 
 
 class TestVolumeProfile:
@@ -70,6 +82,29 @@ class TestVolumeProfile:
         # NaN is not JSON-strict but dict structure must be flat values.
         json.dumps(d)  # Python's json allows NaN by default
 
+    def test_to_dict_holds_scalar_fields_only(self, profile):
+        keys = list(profile.to_dict())
+        assert keys[:2] == ["volume_id", "n_requests"]
+        assert keys[-1] == "write_miss_ratio_10pct"
+        for pooled in ("update_traffic", "mostly_bytes", "transitions", "update_intervals",
+                       "miss_ratios", "interarrival_percentiles"):
+            assert pooled not in keys
+
+    def test_burstiness_uses_peak_interval(self, tiny_ali):
+        interval = TEST_SCALE.peak_interval
+        for v in tiny_ali.non_empty_volumes()[:3]:
+            p = compute_profile(v, peak_interval=interval)
+            assert p.peak_intensity == peak_intensity(v, interval)
+            assert _same(p.burstiness_ratio, burstiness_ratio(v, interval))
+
+    def test_interarrival_percentiles_match_dataset_groups(self, tiny_msrc):
+        profiles = [compute_profile(v) for v in tiny_msrc.non_empty_volumes()]
+        want = interarrival_percentile_groups(tiny_msrc)
+        got = _interarrival_groups(profiles)
+        assert list(got) == list(want)
+        for q in want:
+            assert got[q].tolist() == want[q].tolist()
+
     def test_fleet_profiles(self, tiny_ali):
         for v in tiny_ali.non_empty_volumes()[:3]:
             p = compute_profile(v)
@@ -95,6 +130,21 @@ class TestFindings:
     def test_evidence_attached(self, findings):
         for f in findings:
             assert f.evidence, f"finding {f.id} has no evidence"
+
+    def test_evidence_is_plain_python(self, findings):
+        """Evidence holds no numpy scalars, so ``findings --verbose`` prints
+        the same under every numpy version."""
+
+        def plain(value):
+            if type(value) is tuple:
+                return all(plain(v) for v in value)
+            if type(value) is dict:
+                return all(plain(k) and plain(v) for k, v in value.items())
+            return type(value) in (int, float, bool, str)
+
+        for f in findings:
+            for key, value in f.evidence.items():
+                assert plain(value), (f.id, key, value)
 
     def test_str_format(self, findings):
         text = str(findings[0])

@@ -64,3 +64,26 @@ def test_golden_experiments(capsysbinary):
     rc = main(["experiments", "--volumes", "8", "--day-seconds", "2", "--seed", "0"])
     assert rc == 0
     assert capsysbinary.readouterr().out == _expected("experiments.txt")
+
+
+def _comparison_text() -> str:
+    """``compare_datasets`` on the fixtures: the table, the cloud-like side,
+    and both summaries at full ``repr`` precision."""
+    from repro.core import compare_datasets
+    from repro.engine import read_dataset_dir_chunked
+
+    comparison = compare_datasets(
+        read_dataset_dir_chunked(os.path.join(GOLDEN, "ali"), fmt="alicloud"),
+        read_dataset_dir_chunked(os.path.join(GOLDEN, "msrc"), fmt="msrc"),
+    )
+    return "\n".join([
+        comparison.to_table(),
+        f"cloud_like: {comparison.cloud_like()}",
+        repr(comparison.left),
+        repr(comparison.right),
+        "",
+    ])
+
+
+def test_golden_compare_datasets():
+    assert _comparison_text().encode() == _expected("compare-datasets.txt")

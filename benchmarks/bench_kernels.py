@@ -11,6 +11,10 @@ traced pass) its kernel feeds; a kernel win counts once it shows there:
   it (one packed-key sort per volume) -> ``core.compute_profile`` and
   ``core.findings.evaluate_findings``; the lane checks a small trace
   against the naive replay in ``tests/block_oracle.py``,
+* the volume profile's scaling: ns/access and tracemalloc peak
+  bytes/access of ``compute_profile`` at 2^16, 2^18 and 2^20 block
+  accesses of a Zipf volume -> ``core.compute_profile``; the lane asserts
+  the peak stays at or below 64 bytes per access,
 * randomness-ratio computation (32-lag sliding-window minimum) ->
   ``core.compute_profile`` and ``core.findings.evaluate_findings``,
 * exact reuse distances (a merge-sort count over runs of previous
@@ -38,9 +42,12 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py``;
 add ``--benchmark-disable`` to run each lane once as a correctness smoke.
 """
 
+import gc
 import math
 import os
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +107,42 @@ def test_kernel_block_view(benchmark, kernel_trace):
         res = r.result
         counts = (res.read_hits, res.read_misses, res.write_hits, res.write_misses)
         assert (r.capacity_blocks, counts) == want["miss"][r.cache_fraction]
+
+
+def _zipf_volume(accesses: int, seed: int) -> VolumeTrace:
+    """Sector-aligned requests of 512 B to 32 KiB on Zipf-ranked blocks,
+    cut at the first request that reaches ``accesses`` 4 KiB accesses."""
+    rng = np.random.default_rng(seed)
+    n = accesses // 2
+    offsets = (np.minimum(rng.zipf(1.2, n), 1 << 20) * 8 + rng.integers(0, 8, n)) * 512
+    sizes = rng.choice([512, 4096, 8192, 12288, 16384, 32768], n)
+    per_request = (offsets + sizes - 1) // 4096 - offsets // 4096 + 1
+    keep = int(np.searchsorted(np.cumsum(per_request), accesses)) + 1
+    return VolumeTrace("zipf", np.sort(rng.random(n))[:keep] * 3600, offsets[:keep],
+                       sizes[:keep], (rng.random(n) < 0.6)[:keep], presorted=True)
+
+
+def test_kernel_profile_scaling():
+    """The one block pass per volume holds at most 64 bytes per access."""
+    compute_profile(_zipf_volume(1000, 0))  # imports and caches outside the trace
+    for log2 in (16, 18, 20):
+        trace = _zipf_volume(1 << log2, log2)
+        accesses = len(expand_to_blocks(trace.offsets, trace.sizes)[1])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            compute_profile(trace)
+            peak = tracemalloc.get_traced_memory()[1] / accesses
+        finally:
+            tracemalloc.stop()
+        best = math.inf
+        for _ in range(2):
+            start = time.perf_counter()
+            compute_profile(trace)
+            best = min(best, time.perf_counter() - start)
+        print(f"compute_profile 2^{log2}: {accesses} accesses, "
+              f"{best / accesses * 1e9:.0f} ns/access, {peak:.1f} peak B/access")
+        assert peak <= 64
 
 
 def test_kernel_randomness_ratio(benchmark, kernel_trace):

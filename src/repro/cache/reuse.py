@@ -50,7 +50,7 @@ INFINITE_DISTANCE = -1
 _TILE = 16
 
 #: Keys per chunk of the tile stage, of a merge level and of a flush.
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 
 #: Bits a key may use: values, positions and counts stay non-negative.
 _KEY_BITS = 63
@@ -89,25 +89,32 @@ def _count_merged(
     ``width`` keys (positions with bit ``width`` clear) and the right run
     after it; a right-run key is below the left-run keys that follow it in
     the row.  The credit goes into each key's count field, or into
-    ``counts`` by position when given.
+    ``counts`` by position when given.  A row wider than :data:`_CHUNK`
+    (then the only row) is credited a chunk at a time, from its end.
     """
-    pos = rows >> fields
-    pos &= pmask
-    left = (pos & width) == 0
-    # Left weight up to each key; the sum runs on across rows, but its
-    # difference within one row is that row's alone.
-    if weights is None:
-        credit = np.cumsum(left, dtype=np.int64).reshape(rows.shape)
-    else:
-        credit = weights[pos]
-        credit *= left
-        np.cumsum(credit, out=credit.reshape(-1))
-    np.subtract(credit[:, -1:], credit, out=credit)
-    credit *= ~left
-    if counts is None:
-        rows += credit
-    else:
-        counts[pos] += credit
+    after = 0  # the row's left weight past the current chunk
+    for hi in range(rows.shape[1], 0, -_CHUNK):
+        chunk = rows[:, max(0, hi - _CHUNK) : hi]
+        pos = chunk >> fields
+        pos &= pmask
+        left = (pos & width) == 0
+        # Left weight up to each key; the sum runs on across rows, but its
+        # difference within one row is that row's alone.
+        if weights is None:
+            credit = np.cumsum(left, dtype=np.int64).reshape(chunk.shape)
+        else:
+            credit = weights[pos]
+            credit *= left
+            np.cumsum(credit, out=credit.reshape(-1))
+        chunk_left = int(credit[-1, -1])
+        np.subtract(credit[:, -1:], credit, out=credit)
+        credit += after
+        after += chunk_left
+        credit *= ~left
+        if counts is None:
+            chunk += credit
+        else:
+            counts[pos] += credit
 
 
 def _flush(keys: np.ndarray, fields: int, pmask: int, counts: np.ndarray) -> None:
@@ -137,11 +144,11 @@ def _greater_before(p: np.ndarray, weights: Optional[np.ndarray] = None) -> np.n
         overflow the field: a count is below the block's total weight."""
         if total <= limit or weights is None:
             return min(span, total) <= limit
-        bounds = np.concatenate(([0], np.cumsum(weights)))
-        return np.diff(bounds[::span], append=total).max() <= limit
+        return np.add.reduceat(weights, np.arange(0, n, span)).max() <= limit
 
     # Key order is value order; the position and the count field follow.
-    keys = p << (pbits + fields)
+    keys = p.astype(np.int64)
+    keys <<= pbits + fields
     keys |= np.arange(n, dtype=np.int64) << fields
 
     tiled = n - n % _TILE
@@ -199,23 +206,30 @@ def distances_from_previous(previous: np.ndarray) -> np.ndarray:
     """:func:`reuse_distances` of the stream whose access *i* last touched
     its block at position ``previous[i]`` (-1 for a first touch), as
     :attr:`repro.trace.blocks.BlockView.previous` gives it."""
+    out = np.full(len(previous), INFINITE_DISTANCE, dtype=np.int64)
+    reaccess = previous >= 0
+    out[reaccess] = _reaccess_distances(reaccess, previous[reaccess])
+    return out
+
+
+def _reaccess_distances(reaccess: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """The int64 distances of the re-accesses alone, in stream order: the
+    accesses where ``reaccess`` is set, whose previous positions are ``gap``."""
     # First touches never count towards a later access (p_j = -1 < p_i), so
     # the count runs over the re-accesses alone, in stream order.
-    reuse = np.flatnonzero(previous >= 0)
-    gap = previous[reuse]
     breaks = np.flatnonzero(np.diff(gap) != 1)
     breaks += 1
     if 2 * (len(breaks) + 1) <= len(gap):
         # The runs at least halve the keys: count over the run heads.
-        heads = np.concatenate(([0], breaks))
-        weights = np.diff(heads, append=len(gap))
-        counts = np.repeat(_greater_before(gap[heads], weights), weights)
+        weights = np.diff(breaks, prepend=0, append=len(gap))
+        head_gaps = gap[np.concatenate(([0], breaks))]
+        del breaks  # before the kernel's own working arrays
+        counts = np.repeat(_greater_before(head_gaps, weights), weights)
     else:
         del breaks  # before the kernel's own working arrays
         counts = _greater_before(gap)
-    np.subtract(reuse, gap, out=gap)
-    gap -= counts
-    gap -= 1
-    out = np.full(len(previous), INFINITE_DISTANCE, dtype=np.int64)
-    out[reuse] = gap
-    return out
+    # d_i = (i - p_i - 1) - count_i, built in place in the counts.
+    counts += gap
+    counts += 1
+    np.subtract(np.flatnonzero(reaccess), counts, out=counts)
+    return counts

@@ -117,24 +117,34 @@ def simulate_lru(
     ``cache.*`` counters equal ``simulate_stream(blocks, is_write,
     LRUCache(capacity))``.
     """
+    is_write = np.asarray(is_write, dtype=bool)
+    return _lru_result(
+        distances, is_write, capacity, len(distances), int(np.count_nonzero(is_write)),
+        int(np.count_nonzero(distances == INFINITE_DISTANCE)),
+    )
+
+
+def _lru_result(
+    distances: np.ndarray, is_write: np.ndarray, capacity: int,
+    n_accesses: int, n_writes: int, first_touches: int,
+) -> CacheSimResult:
+    """:func:`simulate_lru` from the distances and ops of the stream's
+    accesses, or of its re-accesses alone, plus the stream's totals."""
     if capacity <= 0:
         raise ValueError(f"capacity must be positive, got {capacity}")
-    is_write = np.asarray(is_write, dtype=bool)
     with span("cache_simulate"):
         hit = (distances >= 0) & (distances < capacity)
-        n_writes = int(np.count_nonzero(is_write))
         write_hits = int(np.count_nonzero(hit & is_write))
         read_hits = int(np.count_nonzero(hit)) - write_hits
-        distinct = int(np.count_nonzero(distances == INFINITE_DISTANCE))
     result = CacheSimResult(
         policy=LRUCache.name,
         capacity_blocks=capacity,
         read_hits=read_hits,
-        read_misses=len(distances) - n_writes - read_hits,
+        read_misses=n_accesses - n_writes - read_hits,
         write_hits=write_hits,
         write_misses=n_writes - write_hits,
     )
-    _count(result, min(capacity, distinct))
+    _count(result, min(capacity, first_touches))
     return result
 
 

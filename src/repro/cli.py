@@ -100,6 +100,7 @@ from .store import DEFAULT_STORE_DIRNAME, StoreConfig
 
 if TYPE_CHECKING:
     from .resilience import CheckpointConfig
+    from .trace import TraceDataset
 
 __all__ = ["main", "build_parser"]
 
@@ -710,34 +711,34 @@ def _report(args: argparse.Namespace) -> int:
 
 
 def _findings(args: argparse.Namespace) -> int:
-    from .core.findings import evaluate_findings
-    from .synth import alicloud_scale, make_alicloud_fleet, make_msrc_fleet, msrc_scale
+    from .core.findings import _compare, _side
 
-    scale_a = alicloud_scale(day_seconds=args.day_seconds)
-    scale_m = msrc_scale(day_seconds=args.day_seconds)
+    # Scale.peak_interval and Scale.activity_interval, without importing
+    # the generator when both fleets are read from disk.
+    windows = (args.day_seconds / 1440.0, args.day_seconds / 144.0)
     engine = _engine_kwargs(args)
     errors = RunErrors(policy=engine["on_error"])
-    if args.ali_dir is not None:
-        ali = read_dataset_dir_chunked(
-            args.ali_dir, fmt="alicloud", progress=_progress_callback(args, "parse-ali"),
-            errors=errors, **engine,
-        )
-    else:
-        ali = make_alicloud_fleet(n_volumes=args.volumes, seed=args.seed, scale=scale_a)
-    if args.msrc_dir is not None:
-        msrc = read_dataset_dir_chunked(
-            args.msrc_dir, fmt="msrc", progress=_progress_callback(args, "parse-msrc"),
-            errors=errors, **engine,
-        )
-    else:
-        msrc = make_msrc_fleet(n_volumes=36, seed=args.seed + 1, scale=scale_m)
+
+    def fleet(fmt: str, directory: Optional[str], stage: str) -> "TraceDataset":
+        if directory is not None:
+            return read_dataset_dir_chunked(
+                directory, fmt=fmt, progress=_progress_callback(args, stage), errors=errors,
+                **engine,
+            )
+        from .synth import alicloud_scale, make_alicloud_fleet, make_msrc_fleet, msrc_scale
+
+        if fmt == "alicloud":
+            scale = alicloud_scale(day_seconds=args.day_seconds)
+            return make_alicloud_fleet(n_volumes=args.volumes, seed=args.seed, scale=scale)
+        scale = msrc_scale(day_seconds=args.day_seconds)
+        return make_msrc_fleet(n_volumes=36, seed=args.seed + 1, scale=scale)
+
+    # One fleet at a time: the AliCloud side is read and reduced, each
+    # trace freed once profiled, before the MSRC side is read.
+    ali_side = _side(fleet("alicloud", args.ali_dir, "parse-ali"), 4096, *windows, release=True)
+    msrc = fleet("msrc", args.msrc_dir, "parse-msrc")
     _emit_error_reports(args, errors)
-    findings = evaluate_findings(
-        ali,
-        msrc,
-        peak_interval=scale_a.peak_interval,
-        activity_interval=scale_a.activity_interval,
-    )
+    findings = _compare(ali_side, _side(msrc, 4096, *windows, release=True))
     for finding in findings:
         print(finding)
         if args.verbose:

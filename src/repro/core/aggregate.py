@@ -99,7 +99,7 @@ def _table1_blocks(trace: VolumeTrace, block_size: int) -> Tuple[WorkingSets, in
 def _update_traffic(view: BlockView) -> int:
     """Write bytes to each block after its first write."""
     _, later = view.write_pairs
-    return int(view.nbytes[later].sum())
+    return int(view.nbytes[later].sum(dtype=np.int64))
 
 
 def _basic_statistics(

@@ -15,8 +15,8 @@ import numpy as np
 
 from ..cache.base import CachePolicy
 from ..cache.lru import LRUCache
-from ..cache.reuse import distances_from_previous
-from ..cache.simulator import CacheSimResult, simulate_lru, simulate_stream
+from ..cache.reuse import _reaccess_distances
+from ..cache.simulator import CacheSimResult, _lru_result, simulate_stream
 from ..trace.blocks import BlockView, block_view
 from ..trace.dataset import TraceDataset, VolumeTrace
 from ..trace.record import DEFAULT_BLOCK_SIZE
@@ -77,7 +77,16 @@ def _miss_ratios(
     lru = policy_factory is LRUCache
     wss_blocks = len(view.run_starts)
     if lru and wss_blocks:
-        distances = distances_from_previous(view.previous)
+        # The LRU step is the view's last: it releases the pairs, the order
+        # and the previous positions, and keeps no full-length distances.
+        previous = view.previous
+        view.drop("pairs", "order", "previous")
+        reaccess = previous >= 0
+        gap = previous[reaccess]
+        del previous
+        reaccess_writes = view.is_write[reaccess]
+        distances = _reaccess_distances(reaccess, gap)
+        n_writes = int(np.count_nonzero(view.is_write))
     out: List[VolumeCacheResult] = []
     for frac in cache_fractions:
         if not 0 < frac <= 1:
@@ -86,7 +95,9 @@ def _miss_ratios(
             continue
         capacity = max(1, int(round(frac * wss_blocks)))
         if lru:
-            result = simulate_lru(distances, view.is_write, capacity)
+            result = _lru_result(
+                distances, reaccess_writes, capacity, len(view), n_writes, wss_blocks
+            )
         else:
             result = simulate_stream(view.block_id, view.is_write, policy_factory(capacity))
         out.append(

@@ -16,8 +16,10 @@ import numpy as np
 from ..stats.cdf import EmpiricalCDF
 from ..stats.histogram import duration_group_fractions
 from ..trace.dataset import TraceDataset
+from ..trace.record import DEFAULT_BLOCK_SIZE
 from .aggregate import (
     _basic_statistics,
+    _table1_blocks,
     _ratio_cdf,
     active_days_cdf,
     request_size_cdf,
@@ -33,7 +35,7 @@ from .report import (
     format_duration,
     format_table,
 )
-from .spatial import _pool_mostly
+from .spatial import WorkingSets, _pool_mostly
 from .temporal import _concat, _pool_transitions
 from .volume_profile import VolumeProfile, _finite, _interarrival_groups, compute_profile
 
@@ -84,8 +86,15 @@ class ExperimentContext:
 
 
 def _table1(ctx: ExperimentContext) -> str:
+    def blocks(ds: TraceDataset) -> List[Tuple[WorkingSets, int]]:
+        # The other sections' profiles when they built them (Table I
+        # renders last), else the light per-volume pass ``report`` takes.
+        if id(ds) in ctx._profiles:
+            return [(p.working_sets, p.update_traffic) for p in ctx.profiles(ds)]
+        return [_table1_blocks(v, DEFAULT_BLOCK_SIZE) for v in ds.non_empty_volumes()]
+
     a, m = (
-        _basic_statistics(ds, [(p.working_sets, p.update_traffic) for p in ctx.profiles(ds)], days)
+        _basic_statistics(ds, blocks(ds), days)
         for ds, days in ((ctx.ali, ctx.n_days_ali), (ctx.msrc, ctx.n_days_msrc))
     )
     gib = 1024.0
@@ -387,11 +396,11 @@ def render_experiments(
         end = start + len(low_sel)
         return end >= len(low_id) or not low_id[end].isalnum()
 
+    selected = [e for e in EXPERIMENTS if not only or any(matches(sel, e[0]) for sel in only)]
+    # Table I renders last, so that it finds any profiles the others built.
+    last = sorted(selected, key=lambda e: e[1] is _table1)
+    rendered = {exp_id: render(ctx) for exp_id, render in last}
     sections = []
-    for exp_id, renderer in EXPERIMENTS:
-        if only and not any(matches(sel, exp_id) for sel in only):
-            continue
-        sections.append(f"=== {exp_id} " + "=" * max(1, 60 - len(exp_id)))
-        sections.append(renderer(ctx))
-        sections.append("")
+    for exp_id, _ in selected:
+        sections += [f"=== {exp_id} " + "=" * max(1, 60 - len(exp_id)), rendered[exp_id], ""]
     return "\n".join(sections)

@@ -18,7 +18,7 @@ from ..trace.dataset import TraceDataset
 from .cache_analysis import DEFAULT_CACHE_FRACTIONS, _pool_miss_ratios
 from .load_intensity import active_fractions, active_volume_timeseries, overall_intensity
 from .spatial import _pool_mostly
-from .temporal import _concat, _pool_transitions
+from .temporal import _concat
 from .volume_profile import _finite, _interarrival_groups, _median_or_nan, compute_profile
 
 __all__ = ["Finding", "evaluate_findings", "FINDING_TITLES"]
@@ -57,27 +57,33 @@ class Finding:
 
 
 def _spread(arr: np.ndarray) -> float:
+    """p95/p25 of a pooled array, which it reorders."""
     if len(arr) < 10:
         return float("nan")
-    p25, p95 = np.percentile(arr, [25, 95])
+    p25, p95 = np.percentile(arr, [25, 95], overwrite_input=True)
     return float(p95 / max(p25, 1e-9))
 
 
 def _side(
-    dataset: TraceDataset, block_size: int, peak_interval: float, activity_interval: float
+    dataset: TraceDataset, block_size: int, peak_interval: float, activity_interval: float,
+    release: bool = False,
 ) -> Dict[str, Any]:
-    """One side's statistics from its volume profiles, which are dropped on
-    return so that one side's pooled arrays are held at a time."""
+    """One side's statistics from its volume profiles, profiled largest
+    first (LPT) and kept in volume order.  With ``release`` the side owns
+    the dataset: it empties it, so each trace goes once profiled.  Each
+    pooled array is reduced and dropped before the next is built."""
     side: Dict[str, Any] = {
         "overall": overall_intensity(dataset, peak_interval),
         "timeseries": active_volume_timeseries(dataset, activity_interval),
         "active": active_fractions(dataset, dataset.start_time, activity_interval),
     }
-    profiles = [
-        compute_profile(v, block_size, peak_interval) for v in dataset.non_empty_volumes()
-    ]
+    volumes = dict(enumerate(dataset.non_empty_volumes()))
+    if release:
+        dataset.clear()
+    order = sorted(volumes, key=lambda i: (-len(volumes[i]), i))
+    by_index = {i: compute_profile(volumes.pop(i), block_size, peak_interval) for i in order}
+    profiles = [by_index[i] for i in sorted(by_index)]
     groups = _interarrival_groups(profiles)
-    transitions = _pool_transitions(p.transitions for p in profiles)
     side.update(
         avg=_finite(p.average_intensity for p in profiles),
         burst=_finite(p.burstiness_ratio for p in profiles),
@@ -87,11 +93,15 @@ def _side(
         top10_write=_finite(p.top10_write_traffic for p in profiles),
         mostly=_pool_mostly(p.mostly_bytes for p in profiles),
         coverage=_finite(p.update_coverage for p in profiles),
-        counts=transitions.counts(),
-        median={k: _median_or_nan(transitions.get(k)) for k in ("RAW", "WAW", "RAR", "WAR")},
         miss=_pool_miss_ratios((p.miss_ratios for p in profiles), DEFAULT_CACHE_FRACTIONS),
+        counts={},
+        median={},
     )
-    del transitions
+    for key in ("RAW", "WAW", "RAR", "WAR"):
+        pooled = _concat(p.transitions.get(key) for p in profiles)
+        side["counts"][key] = len(pooled)
+        side["median"][key] = _median_or_nan(pooled, overwrite_input=True)
+        del pooled
     side["spread"] = _spread(_concat(p.update_intervals for p in profiles))
     return side
 
@@ -108,10 +118,15 @@ def evaluate_findings(
     ``peak_interval`` and ``activity_interval`` are the paper's 1-minute
     and 10-minute windows; when evaluating time-compressed synthetic
     fleets pass ``scale.peak_interval`` / ``scale.activity_interval`` so
-    the windows compress with the trace.
+    the windows compress with the trace.  Both datasets are left as given.
     """
     a = _side(ali, block_size, peak_interval, activity_interval)
     m = _side(msrc, block_size, peak_interval, activity_interval)
+    return _compare(a, m)
+
+
+def _compare(a: Dict[str, Any], m: Dict[str, Any]) -> List[Finding]:
+    """The 15 findings from the AliCloud-side and MSRC-side statistics."""
     findings: List[Finding] = []
 
     # --- Load intensity -----------------------------------------------------

@@ -62,7 +62,7 @@ class AdjacentAccessTimes:
 
 def _transitions(view: BlockView) -> AdjacentAccessTimes:
     earlier, later = view.pairs
-    dt = view.timestamps[later] - view.timestamps[earlier]
+    dt = view.elapsed(earlier, later)
     prev_w = view.is_write[earlier]
     cur_w = view.is_write[later]
     return AdjacentAccessTimes(
@@ -108,8 +108,7 @@ def dataset_adjacent_access_times(
 
 
 def _update_intervals(view: BlockView) -> np.ndarray:
-    earlier, later = view.write_pairs
-    return view.timestamps[later] - view.timestamps[earlier]
+    return view.elapsed(*view.write_pairs)
 
 
 def update_intervals(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:

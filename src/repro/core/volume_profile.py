@@ -49,8 +49,9 @@ median_rar_time median_war_time median_update_interval read_miss_ratio_1pct
 write_miss_ratio_1pct read_miss_ratio_10pct write_miss_ratio_10pct""".split()
 
 
-def _median_or_nan(values: np.ndarray) -> float:
-    return float(np.median(values)) if len(values) else float("nan")
+def _median_or_nan(values: np.ndarray, overwrite_input: bool = False) -> float:
+    """The median, NaN when empty; ``overwrite_input`` lets it reorder ``values``."""
+    return float(np.median(values, overwrite_input=overwrite_input)) if len(values) else np.nan
 
 
 @dataclass(frozen=True)
@@ -133,13 +134,18 @@ def compute_profile(
         else np.array([], dtype=np.float64)
     )
     view = block_view(trace, block_size)
+    # Per-block sums, then write pairs, then all pairs, then LRU: each
+    # derivation is dropped before the next large one is built.
     working_sets = _working_sets(view)
-    read_traffic, write_traffic = view.traffic
     mostly_bytes = _mostly_bytes(view, MOSTLY_THRESHOLD)
-    mostly = _pool_mostly([mostly_bytes])
-    at = _transitions(view)
+    top = [_topk_fraction(t, k) for t in view.traffic for k in (0.01, 0.10)]
+    view.drop("traffic", "access_counts")
+    update_traffic = _update_traffic(view)
     intervals = _update_intervals(view)
+    view.drop("write_pairs")
+    at = _transitions(view)
     miss_ratios = _miss_ratios(view, trace.volume_id, DEFAULT_CACHE_FRACTIONS)
+    mostly = _pool_mostly([mostly_bytes])
     miss = {r.cache_fraction: (r.read_miss_ratio, r.write_miss_ratio) for r in miss_ratios}
     read_1, write_1 = miss.get(0.01, (float("nan"),) * 2)
     read_10, write_10 = miss.get(0.10, (float("nan"),) * 2)
@@ -158,17 +164,17 @@ def compute_profile(
         randomness_ratio=randomness,
         working_sets=working_sets,
         update_coverage=working_sets.update_coverage,
-        top1_read_traffic=_topk_fraction(read_traffic, 0.01),
-        top10_read_traffic=_topk_fraction(read_traffic, 0.10),
-        top1_write_traffic=_topk_fraction(write_traffic, 0.01),
-        top10_write_traffic=_topk_fraction(write_traffic, 0.10),
+        top1_read_traffic=top[0],
+        top10_read_traffic=top[1],
+        top1_write_traffic=top[2],
+        top10_write_traffic=top[3],
         read_to_read_mostly=mostly.read_to_read_mostly,
         write_to_write_mostly=mostly.write_to_write_mostly,
         read_miss_ratio_1pct=read_1,
         write_miss_ratio_1pct=write_1,
         read_miss_ratio_10pct=read_10,
         write_miss_ratio_10pct=write_10,
-        update_traffic=_update_traffic(view),
+        update_traffic=update_traffic,
         mostly_bytes=mostly_bytes,
         transitions=at,
         update_intervals=intervals,

@@ -39,6 +39,36 @@ def block_range(offset: int, size: int, block_size: int = DEFAULT_BLOCK_SIZE) ->
     return first, last - first + 1
 
 
+def _expand(
+    offsets: np.ndarray, sizes: np.ndarray, block_size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(blocks per request, block_id, nbytes)``, ``nbytes`` int32 below 2 GiB blocks."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if len(offsets):
+        # The one place a block stream is built: tests count these per command.
+        metrics.counter("trace.blocks.expansions").inc()
+    ends = offsets + sizes
+    first = offsets // block_size
+    last = (ends - 1) // block_size
+    counts = last - first + 1
+    starts = np.cumsum(counts) - counts
+    # Concatenated per-request aranges, each shifted to its first block.
+    block_id = np.arange(int(counts.sum()), dtype=np.int64)
+    block_id += np.repeat(first - starts, counts)
+    # Byte attribution: only a request's first and last block can be
+    # partial (a one-block request's first block is also its last).
+    nbytes = np.full(len(block_id), block_size, dtype=_index_dtype(block_size + 1))
+    nbytes[starts + counts - 1] = ends - last * block_size
+    nbytes[starts] = np.minimum((first + 1) * block_size, ends) - offsets
+    return counts, block_id, nbytes
+
+
+def _index_dtype(n: int) -> type:
+    """int32 for values in ``[-1, n)`` when they fit, else int64."""
+    return np.int32 if n <= 2**31 else np.int64
+
+
 def expand_to_blocks(
     offsets: np.ndarray,
     sizes: np.ndarray,
@@ -51,30 +81,9 @@ def expand_to_blocks(
     ``nbytes[k]`` bytes (partial at the first/last block of an unaligned
     request).  Rows are ordered by request then ascending block.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    n = len(offsets)
-    if n == 0:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    # The one place a block stream is built: tests count these per command.
-    metrics.counter("trace.blocks.expansions").inc()
-    first = offsets // block_size
-    last = (offsets + sizes - 1) // block_size
-    counts = last - first + 1
-    total = int(counts.sum())
-    req_index = np.repeat(np.arange(n, dtype=np.int64), counts)
-    # Concatenated per-request aranges: position within each request's span.
-    starts = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    block_id = np.repeat(first, counts) + within
-    # Byte attribution: intersection of [offset, offset+size) with each block.
-    block_lo = block_id * block_size
-    block_hi = block_lo + block_size
-    req_lo = np.repeat(offsets, counts)
-    req_hi = req_lo + np.repeat(sizes, counts)
-    nbytes = np.minimum(block_hi, req_hi) - np.maximum(block_lo, req_lo)
-    return req_index, block_id, nbytes
+    counts, block_id, nbytes = _expand(offsets, sizes, block_size)
+    req_index = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return req_index, block_id, nbytes.astype(np.int64)
 
 
 def stable_order(values: np.ndarray) -> np.ndarray:
@@ -123,31 +132,52 @@ class BlockView:
     (:func:`stable_order`), so each block's accesses keep stream order:
     by time, and by request index among equal timestamps
     (``VolumeTrace`` timestamps never decrease).
-    Every grouped derivation comes from that one sort, on first use.
+    Every grouped derivation comes from that one sort, on first use, and
+    is cached until :meth:`drop` releases it.
+
+    The view holds 17 bytes per access: the int64 block id, the op, int32
+    bytes and request index; times are read through the request index.
+    Positions (order, pairs, previous) are int32 below 2^31 accesses.
 
     Attributes:
         block_id: block index touched.
-        timestamps: arrival time of the owning request.
         is_write: op type of the owning request.
         nbytes: bytes of the request falling inside the block.
         req_index: row index of the owning request in the source trace.
+        request_times: arrival time of each request of the source trace.
         block_size: block granularity used for the expansion.
     """
 
     block_id: np.ndarray
-    timestamps: np.ndarray
     is_write: np.ndarray
     nbytes: np.ndarray
     req_index: np.ndarray
+    request_times: np.ndarray
     block_size: int
 
     def __len__(self) -> int:
         return len(self.block_id)
 
+    @property
+    def timestamps(self) -> np.ndarray:
+        """Arrival time of each access's request (a new array per call)."""
+        return self.request_times[self.req_index]
+
+    def elapsed(self, earlier: np.ndarray, later: np.ndarray) -> np.ndarray:
+        """Seconds from the accesses at positions ``earlier`` to those at ``later``."""
+        dt = self.request_times[self.req_index[later]]
+        dt -= self.request_times[self.req_index[earlier]]
+        return dt
+
+    def drop(self, *names: str) -> None:
+        """Release the named cached derivations; a later use rebuilds them."""
+        for name in names:
+            self.__dict__.pop(name, None)
+
     @cached_property
     def order(self) -> np.ndarray:
         """Access positions sorted by block, stream order within a block."""
-        return stable_order(self.block_id)
+        return stable_order(self.block_id).astype(_index_dtype(len(self)), copy=False)
 
     @cached_property
     def run_starts(self) -> np.ndarray:
@@ -186,7 +216,7 @@ class BlockView:
     @cached_property
     def previous(self) -> np.ndarray:
         """Position of each access's previous access to its block; -1 for a first touch."""
-        previous = np.full(len(self), -1, dtype=np.int64)
+        previous = np.full(len(self), -1, dtype=_index_dtype(len(self)))
         earlier, later = self.pairs
         previous[later] = earlier
         return previous
@@ -194,12 +224,12 @@ class BlockView:
 
 def block_view(trace: VolumeTrace, block_size: int = DEFAULT_BLOCK_SIZE) -> BlockView:
     """Expand a volume trace into its :class:`BlockView`."""
-    req_index, block_id, nbytes = expand_to_blocks(trace.offsets, trace.sizes, block_size)
+    counts, block_id, nbytes = _expand(trace.offsets, trace.sizes, block_size)
     return BlockView(
         block_id=block_id,
-        timestamps=trace.timestamps[req_index],
-        is_write=trace.is_write[req_index],
+        is_write=np.repeat(trace.is_write, counts),
         nbytes=nbytes,
-        req_index=req_index,
+        req_index=np.repeat(np.arange(len(trace), dtype=_index_dtype(len(trace))), counts),
+        request_times=trace.timestamps,
         block_size=block_size,
     )

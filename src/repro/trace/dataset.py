@@ -159,7 +159,7 @@ class VolumeTrace:
 
     @property
     def n_reads(self) -> int:
-        return int(np.count_nonzero(~self.is_write))
+        return len(self) - self.n_writes
 
     @property
     def n_writes(self) -> int:
@@ -168,12 +168,13 @@ class VolumeTrace:
     @property
     def read_bytes(self) -> int:
         """Total bytes read (read traffic)."""
-        return int(self.sizes[~self.is_write].sum())
+        return self.total_bytes - self.write_bytes
 
     @property
     def write_bytes(self) -> int:
         """Total bytes written (write traffic)."""
-        return int(self.sizes[self.is_write].sum())
+        # An exact int64 sum that casts the mask in buffered blocks, no copy.
+        return int(np.einsum("i,i->", self.sizes, self.is_write, dtype=np.int64))
 
     @property
     def total_bytes(self) -> int:
@@ -275,6 +276,10 @@ class TraceDataset:
         if trace.volume_id in self._volumes:
             raise ValueError(f"duplicate volume id: {trace.volume_id!r}")
         self._volumes[trace.volume_id] = trace
+
+    def clear(self) -> None:
+        """Remove every volume."""
+        self._volumes.clear()
 
     def volume_ids(self) -> List[str]:
         return list(self._volumes)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import EXPERIMENTS, render_experiments
+from repro.obs import collecting
 
 from conftest import TEST_SCALE
 
@@ -41,6 +42,24 @@ class TestRenderExperiments:
         assert "=== Table I " in report
         assert "Table II" not in report
         assert "Figure 18" not in report
+
+    def test_table1_alone_takes_the_light_pass(self, report, tiny_ali, tiny_msrc):
+        """Table I alone equals its section of a full run, from one block
+        view per volume and no cache simulation."""
+        with collecting() as reg:
+            alone = render_experiments(
+                tiny_ali,
+                tiny_msrc,
+                day_seconds=TEST_SCALE.day_seconds,
+                n_days_ali=TEST_SCALE.n_days,
+                n_days_msrc=TEST_SCALE.n_days,
+                only=["Table I"],
+            )
+        assert report.startswith(alone)
+        assert alone.startswith("=== Table I ")
+        assert reg.counter("cache.accesses").value == 0
+        volumes = len(tiny_ali.non_empty_volumes()) + len(tiny_msrc.non_empty_volumes())
+        assert reg.counter("trace.blocks.expansions").value == volumes
 
     def test_only_filter_figure(self, tiny_ali, tiny_msrc):
         report = render_experiments(

@@ -1,5 +1,8 @@
 """Tests for repro.core.volume_profile and repro.core.findings."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.core import (
     peak_intensity,
 )
 from repro.core.volume_profile import _interarrival_groups
+from repro.trace import VolumeTrace, expand_to_blocks
 
 from conftest import TEST_SCALE, make_trace
 
@@ -110,6 +114,33 @@ class TestVolumeProfile:
             p = compute_profile(v)
             assert p.n_requests == len(v)
             assert 0 <= p.randomness_ratio <= 1
+
+    def test_peak_memory_per_access(self):
+        """The one block pass peaks at no more than 64 bytes per 4 KiB
+        access, on a seeded Zipf volume of sector-aligned, mostly
+        multi-block requests (imports and caches are warmed first)."""
+        rng = np.random.default_rng(11)
+        n = 100_000
+        blocks = np.minimum(rng.zipf(1.2, n), 1 << 20)
+        trace = VolumeTrace(
+            "zipf",
+            np.sort(rng.random(n)) * 3600,
+            (blocks * 8 + rng.integers(0, 8, n)) * 512,
+            rng.choice([512, 4096, 8192, 12288, 16384, 32768], n),
+            rng.random(n) < 0.6,
+            presorted=True,
+        )
+        accesses = len(expand_to_blocks(trace.offsets, trace.sizes)[1])
+        assert accesses >= 2**18
+        compute_profile(trace.select(slice(0, 1000)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            compute_profile(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / accesses <= 64
 
 
 class TestFindings:

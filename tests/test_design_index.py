@@ -1,0 +1,65 @@
+"""Every ``repro`` name DESIGN.md's per-experiment index cites exists.
+
+The "Metrics / modules" column names functions and modules by their
+dotted path under ``repro`` (``core.spatial.mostly_traffic``).  A bare
+name (``peak_intensity``) or a ``Class.attribute`` path continues the
+module named before it in the same cell.
+"""
+
+import importlib
+import os
+import re
+
+import pytest
+
+DESIGN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "DESIGN.md")
+
+
+def _index_cells():
+    """``(experiment id, metrics cell)`` of each row of the index table."""
+    with open(DESIGN, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Per-experiment index", 1)[1].split("\n## ", 1)[0]
+    table = section.split("| Id | Paper content | Metrics / modules | Bench |", 1)[1]
+    rows = []
+    for line in table.split("\n\n", 1)[0].strip().splitlines()[1:]:
+        cells = [c.strip() for c in line.strip("|").split(" | ")]
+        rows.append((cells[0], cells[2]))
+    return rows
+
+
+def _module(path):
+    """The longest importable ``repro`` module prefix of ``path``, and the
+    attribute names after it."""
+    parts = path.split(".")
+    for k in range(len(parts), 0, -1):
+        try:
+            return importlib.import_module("repro." + ".".join(parts[:k])), parts[k:]
+        except ModuleNotFoundError:
+            continue
+    return None, parts
+
+
+ROWS = _index_cells()
+
+
+def test_index_has_every_experiment():
+    assert len(ROWS) >= 18
+
+
+@pytest.mark.parametrize("exp_id,cell", ROWS, ids=[r[0] for r in ROWS])
+def test_cited_names_exist(exp_id, cell):
+    names = re.findall(r"`([A-Za-z_][\w.]*)`", cell)
+    assert names, cell
+    context = None
+    for name in names:
+        module, attrs = _module(name)
+        if module is None:
+            assert context is not None, f"{name!r} names no repro module"
+            module = context
+        else:
+            context = module
+        obj = module
+        for attr in attrs:
+            assert hasattr(obj, attr), f"{exp_id}: repro {name!r} does not exist"
+            obj = getattr(obj, attr)

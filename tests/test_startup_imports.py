@@ -208,12 +208,14 @@ def test_package_root_exports_only_its_version():
 
 
 def test_findings_skips_heavy_modules(fleets):
+    """Both fleets read from disk: no trace generator either."""
     ali, msrc, _ = fleets
     argv = ["findings", "--ali-dir", ali, "--msrc-dir", msrc, "--store",
             "--workers", "1", "--no-ledger"]
     # findings exits 1 when a finding does not hold on this tiny fleet;
     # only the imports matter here.
-    assert _loaded_after(f"import repro.cli; repro.cli.main({argv!r})") == []
+    forbidden = FORBIDDEN + ("repro.synth.fleet", "numpy.random")
+    assert _loaded_after(f"import repro.cli; repro.cli.main({argv!r})", forbidden) == []
 
 
 def test_lazy_scipy_modules_keep_their_exports():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.obs import collecting
 from repro.trace import VolumeTrace
 from repro.trace.blocks import (
+    _index_dtype,
     adjacent_pairs,
     block_range,
     block_view,
@@ -217,6 +218,32 @@ class TestBlockView:
         span = 2 ** (63 - (n - 1).bit_length()) - 1 + extra
         values = np.array([span - 2**61] + [-(2**61)] * (n - 1), dtype=np.int64)
         assert stable_order(values).tolist() == list(range(1, n)) + [0]
+
+    @pytest.mark.parametrize("block_size", [BS, 2**31])
+    def test_lean_columns_match_the_expansion(self, block_size):
+        """Narrow columns hold the values of :func:`expand_to_blocks`; bytes
+        stay int64 for blocks of 2 GiB, positions int32 below 2^31."""
+        rng = np.random.default_rng(6)
+        n = 500
+        tr = make_trace(timestamps=np.sort(rng.random(n)), offsets=rng.integers(0, 2**33, n),
+                        sizes=rng.integers(1, 3 * block_size, n), is_write=rng.random(n) < 0.5)
+        req, blk, nb = expand_to_blocks(tr.offsets, tr.sizes, block_size)
+        view = block_view(tr, block_size)
+        assert view.nbytes.dtype == (np.int32 if block_size == BS else np.int64)
+        assert view.req_index.dtype == view.order.dtype == view.previous.dtype == np.int32
+        assert (view.req_index.tolist(), view.nbytes.tolist()) == (req.tolist(), nb.tolist())
+        assert view.block_id.tolist() == blk.tolist()
+        assert view.timestamps.tolist() == tr.timestamps[req].tolist()
+        assert (_index_dtype(2**31), _index_dtype(2**31 + 1)) == (np.int32, np.int64)
+
+    def test_dropped_derivations_rebuild_equal(self):
+        tr = make_trace(timestamps=[0.0, 1.0, 2.0], offsets=[0, BS, 0], sizes=[2 * BS, BS, BS],
+                        is_write=[True, False, True])
+        view = block_view(tr)
+        before = [a.tolist() for a in (view.order, *view.pairs, view.previous)]
+        view.drop("order", "pairs", "previous", "not_cached")
+        assert "order" not in vars(view) and "pairs" not in vars(view)
+        assert [a.tolist() for a in (view.order, *view.pairs, view.previous)] == before
 
     def test_expansions_counted_once_per_nonempty_stream(self):
         tr = make_trace(timestamps=[0.0, 1.0], offsets=[0, BS], sizes=[BS, 2 * BS])

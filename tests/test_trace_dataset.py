@@ -78,6 +78,20 @@ class TestVolumeTraceAccessors:
         assert tr.read_bytes == 8192 + 1024
         assert tr.total_bytes == tr.read_bytes + tr.write_bytes
 
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    def test_byte_totals_are_exact(self, n):
+        """Totals equal Python-int sums, with sizes near 2^40 and on empty
+        volumes; each is a plain ``int``."""
+        rng = np.random.default_rng(n)
+        sizes = (1 << 40) - rng.integers(0, 1 << 12, n)
+        is_write = rng.random(n) < 0.5
+        tr = VolumeTrace("v", np.arange(n, dtype=float), np.zeros(n), sizes, is_write)
+        want_write = sum(int(s) for s, w in zip(sizes, is_write) if w)
+        want_read = sum(int(s) for s, w in zip(sizes, is_write) if not w)
+        assert (tr.write_bytes, tr.read_bytes) == (want_write, want_read)
+        assert (tr.n_writes, tr.n_reads) == (int(is_write.sum()), n - int(is_write.sum()))
+        assert type(tr.write_bytes) is int and type(tr.read_bytes) is int
+
     def test_duration(self):
         tr = make_trace(timestamps=[1.0, 5.0, 11.0])
         assert tr.duration == pytest.approx(10.0)

@@ -29,10 +29,10 @@ flat ``metrics`` map that ``repro runs check`` gates in CI.  Runs are
 appended to the persistent run ledger too; ``--no-ledger`` opts out.
 
 The ``pruning`` section then times the query planner on the warm store
-(see :mod:`repro.engine.plan`): a full scan with no column declarations,
-the same scan column-pruned by the analyzer's ``required_columns``, and
-a time-windowed single-volume scan that skips whole files and zone-mapped
-chunks.  Each windowed result is asserted bit-identical to the unpruned
+(see :mod:`repro.engine.plan`): a full streaming-profile scan with no
+column declarations, a scan by a narrow counting fold that never loads
+``offsets``, and a time-windowed single-volume streaming-profile scan
+that skips whole files and zone-mapped chunks.  Each windowed result is asserted bit-identical to the unpruned
 run post-filtered — at every worker count — before any timing is
 reported; the headline ``speedup_window_vs_full`` bar is >= 3x at
 workers=1.
@@ -93,6 +93,30 @@ def _assert_identical(text_ds, store_ds, label: str) -> None:
             )
 
 
+class _NarrowCounts:
+    """Request and byte counts per op: a fold that never loads ``offsets``."""
+
+    name = "narrow_counts"
+    required_columns = ("timestamps", "sizes", "is_write")
+
+    def init_state(self, volume_id):
+        return [0, 0, 0, 0]  # reads, writes, read bytes, write bytes
+
+    def consume(self, state, chunk):
+        w = chunk.is_write
+        n_writes, write_bytes = int(w.sum()), int(chunk.sizes[w].sum())
+        return [
+            state[0] + len(chunk) - n_writes, state[1] + n_writes,
+            state[2] + int(chunk.sizes.sum()) - write_bytes, state[3] + write_bytes,
+        ]
+
+    def merge(self, earlier, later):
+        return [a + b for a, b in zip(earlier, later)]
+
+    def finalize(self, state):
+        return tuple(state)
+
+
 def _bench_pruning(directory, store, text_ds, chunk_size, workers_list, records):
     """Warm full-scan vs column-pruned vs zone-map-skipped timings.
 
@@ -102,7 +126,7 @@ def _bench_pruning(directory, store, text_ds, chunk_size, workers_list, records)
     """
     from dataclasses import asdict
 
-    from repro.engine import LoadIntensityAnalyzer, RowPredicate, run
+    from repro.engine import RowPredicate, StreamingProfileAnalyzer, run
     from repro.engine.runner import run_dataset
     from repro.obs import collecting, metrics_report
     from repro.trace.filters import filter_time_range
@@ -117,7 +141,7 @@ def _bench_pruning(directory, store, text_ds, chunk_size, workers_list, records)
     predicate = RowPredicate(since=since, until=until, volumes=(vid,))
 
     def _analyzer():
-        return LoadIntensityAnalyzer(peak_interval=10.0)
+        return StreamingProfileAnalyzer()
 
     def _undeclared_analyzer():
         analyzer = _analyzer()
@@ -130,7 +154,7 @@ def _bench_pruning(directory, store, text_ds, chunk_size, workers_list, records)
         v: asdict(r)
         for v, r in run_dataset(
             ref_ds, [_analyzer()], chunk_size=chunk_size
-        ).analyzer("load_intensity").items()
+        ).analyzer("streaming_profile").items()
     }
 
     section = {
@@ -150,7 +174,7 @@ def _bench_pruning(directory, store, text_ds, chunk_size, workers_list, records)
         )
         col_t, _ = _timed(
             f"column-pruned workers={workers}",
-            run, directory, [_analyzer()],
+            run, directory, [_NarrowCounts()],
             chunk_size=chunk_size, workers=workers, store=store,
         )
         with collecting() as registry:
@@ -167,7 +191,7 @@ def _bench_pruning(directory, store, text_ds, chunk_size, workers_list, records)
         }
         got = {
             v: asdict(r)
-            for v, r in win_res.analyzer("load_intensity").items()
+            for v, r in win_res.analyzer("streaming_profile").items()
         }
         assert got == ref, (
             f"windowed run workers={workers} differs from "

@@ -25,7 +25,7 @@ and shallow: which attributes are read off each parameter, which
 methods are called on it, and to which callees it is forwarded.  Rules
 compose those facts across the project index into bounded
 inter-procedural answers (e.g. "which ``Chunk`` columns are reachable
-from ``SpatialAnalyzer.consume``") without ever simulating execution.
+from ``TemporalAnalyzer.consume``") without ever simulating execution.
 """
 
 from __future__ import annotations

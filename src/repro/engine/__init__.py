@@ -7,14 +7,14 @@ One shared execution substrate for every trace analysis:
   arrays (no per-row object allocation).
 * :mod:`~repro.engine.analyzer` — the :class:`Analyzer` contract: every
   metric as a mergeable ``init_state / consume / merge / finalize`` fold.
-* :mod:`~repro.engine.analyzers` — the paper's load-intensity, spatial
-  and temporal analyses as engine folds, plus the streaming profile
-  (:class:`StreamingVolumeProfile`) behind ``stream-analyze``.
+* :mod:`~repro.engine.analyzers` — the streaming profile
+  (:class:`StreamingVolumeProfile`) behind ``stream-analyze`` and the
+  exact same-block temporal fold, as engine folds.
 * :mod:`~repro.engine.plan` — query planning: analyzers declare the
-  columns they read and optional row predicates; the run's
-  :class:`QueryPlan` prunes columns and pushes filters down the data
-  path (zone-map chunk skipping on a warm store), with results
-  bit-identical to filtering after the fact.
+  columns they read; the run's :class:`QueryPlan` prunes columns and
+  pushes the run's row predicate down the data path (zone-map chunk
+  skipping on a warm store), with results bit-identical to filtering
+  after the fact.
 * :mod:`~repro.engine.units` — cost-aware work units: big files split
   into row/byte range sub-units so one straggler file cannot serialize a
   parallel run; every unit carries an LPT dispatch cost estimate.
@@ -27,8 +27,8 @@ One shared execution substrate for every trace analysis:
 
 Quickstart::
 
-    from repro.engine import run, LoadIntensityAnalyzer, StreamingProfileAnalyzer
-    result = run("traces/", [LoadIntensityAnalyzer(), StreamingProfileAnalyzer()],
+    from repro.engine import run, StreamingProfileAnalyzer, TemporalAnalyzer
+    result = run("traces/", [StreamingProfileAnalyzer(), TemporalAnalyzer()],
                  chunk_size=65536, workers=4)
     profile = result.analyzer("streaming_profile")["vol0"]
 """
@@ -48,21 +48,16 @@ if TYPE_CHECKING:
     )
     from .analyzers import (
         DEFAULT_RESERVOIR_SIZE,
-        LoadIntensityAnalyzer,
-        LoadIntensityResult,
-        SpatialAnalyzer,
         StreamingProfileAnalyzer,
         StreamingVolumeProfile,
         TemporalAnalyzer,
         TemporalResult,
-        WorkingSetSketch,
     )
     from .chunks import (
         DEFAULT_CHUNK_SIZE,
         Chunk,
         ColumnPrunedError,
         apply_plan,
-        apply_predicate,
         chunks_from_trace,
         iter_chunks,
         list_trace_files,
@@ -73,7 +68,6 @@ if TYPE_CHECKING:
         QueryPlan,
         RowPredicate,
         analyzer_columns,
-        analyzer_predicate,
         plan_for,
     )
     from .runner import (
@@ -100,19 +94,14 @@ __all__ = [
     "plan_units",
     "unit_chunks",
     "DEFAULT_RESERVOIR_SIZE",
-    "LoadIntensityAnalyzer",
-    "LoadIntensityResult",
-    "SpatialAnalyzer",
     "StreamingProfileAnalyzer",
     "StreamingVolumeProfile",
     "TemporalAnalyzer",
     "TemporalResult",
-    "WorkingSetSketch",
     "DEFAULT_CHUNK_SIZE",
     "Chunk",
     "ColumnPrunedError",
     "apply_plan",
-    "apply_predicate",
     "chunks_from_trace",
     "iter_chunks",
     "list_trace_files",
@@ -121,7 +110,6 @@ __all__ = [
     "QueryPlan",
     "RowPredicate",
     "analyzer_columns",
-    "analyzer_predicate",
     "plan_for",
     "EngineResult",
     "parallel_map",
@@ -138,18 +126,15 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "resolve_backend",
     ),
     ".analyzers": (
-        "DEFAULT_RESERVOIR_SIZE", "LoadIntensityAnalyzer", "LoadIntensityResult",
-        "SpatialAnalyzer", "StreamingProfileAnalyzer", "StreamingVolumeProfile",
-        "TemporalAnalyzer", "TemporalResult", "WorkingSetSketch",
+        "DEFAULT_RESERVOIR_SIZE", "StreamingProfileAnalyzer", "StreamingVolumeProfile",
+        "TemporalAnalyzer", "TemporalResult",
     ),
     ".chunks": (
         "DEFAULT_CHUNK_SIZE", "Chunk", "ColumnPrunedError", "apply_plan",
-        "apply_predicate", "chunks_from_trace", "iter_chunks", "list_trace_files",
-        "read_dataset_dir_chunked",
+        "chunks_from_trace", "iter_chunks", "list_trace_files", "read_dataset_dir_chunked",
     ),
     ".plan": (
-        "ALL_COLUMNS", "QueryPlan", "RowPredicate", "analyzer_columns",
-        "analyzer_predicate", "plan_for",
+        "ALL_COLUMNS", "QueryPlan", "RowPredicate", "analyzer_columns", "plan_for",
     ),
     ".runner": (
         "EngineResult", "parallel_map", "resilient_map", "run", "run_dataset",

@@ -43,25 +43,18 @@ class Analyzer(Protocol):
     Attributes:
         name: unique key of this analyzer's results in an engine run.
 
-    Analyzers may additionally expose two *optional* attributes read by
-    the query planner (:mod:`repro.engine.plan`) — they are deliberately
-    not part of the protocol body so existing analyzers (and
-    ``isinstance`` checks against third-party ones) keep working:
-
-    * ``required_columns`` — the chunk columns ``consume`` actually
-      reads, as an iterable of names out of
-      :data:`repro.engine.plan.ALL_COLUMNS`.  Absent or ``None`` means
-      "all columns" (the pre-planning default); declaring honestly lets
-      the data path skip loading everything else.  Touching an
-      undeclared column raises
-      :class:`~repro.engine.chunks.ColumnPrunedError`.
-    * ``row_predicate`` — a :class:`repro.engine.plan.RowPredicate`
-      restricting this analyzer's input to a time window / volume set /
-      op kind.  Absent or ``None`` means every row.
-
-    Read them via :func:`repro.engine.plan.analyzer_columns` /
-    :func:`repro.engine.plan.analyzer_predicate`, which validate and
-    normalize.
+    Analyzers may additionally expose an *optional* ``required_columns``
+    attribute read by the query planner (:mod:`repro.engine.plan`) — it
+    is deliberately not part of the protocol body so existing analyzers
+    (and ``isinstance`` checks against third-party ones) keep working.
+    It names the chunk columns ``consume`` actually reads, as an
+    iterable of names out of :data:`repro.engine.plan.ALL_COLUMNS`.
+    Absent or ``None`` means "all columns" (the pre-planning default);
+    declaring honestly lets the data path skip loading everything else.
+    Touching an undeclared column raises
+    :class:`~repro.engine.chunks.ColumnPrunedError`.  Read it via
+    :func:`repro.engine.plan.analyzer_columns`, which validates and
+    normalizes.
     """
 
     name: str

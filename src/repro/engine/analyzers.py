@@ -1,14 +1,7 @@
-"""Engine adapters for the paper's analyses.
+"""Engine folds for the paper's analyses.
 
-Each analyzer is a mergeable fold over columnar chunks.  The first three
-re-express one in-memory :mod:`repro.core` module each; the streaming
-profile exists only as a fold:
+Each analyzer is a mergeable fold over columnar chunks:
 
-* :class:`LoadIntensityAnalyzer` — :mod:`repro.core.load_intensity`:
-  exact request/traffic counters, inter-arrival quantile reservoir, and
-  peak intensity over fixed intervals.
-* :class:`SpatialAnalyzer` — :mod:`repro.core.spatial`: working-set sizes
-  as HyperLogLog sketches (total / read / write).
 * :class:`TemporalAnalyzer` — :mod:`repro.core.temporal`: exact
   RAW/WAW/RAR/WAR transition counts, update-interval counts, and reservoir
   samples of their elapsed-time distributions.
@@ -29,10 +22,8 @@ All analyzers require each volume's chunks in time order — the order trace
 files are written in.
 
 Every built-in analyzer declares honest ``required_columns`` (none needs
-``response_times``; only the timestamp-driven ones need ``timestamps``)
-so the planner (:mod:`repro.engine.plan`) can prune what nobody reads,
-and accepts an optional ``row_predicate`` restricting the analyzer to a
-time window / volume set / op kind of its own.
+``response_times``) so the planner (:mod:`repro.engine.plan`) can prune
+what nobody reads.
 """
 
 from __future__ import annotations
@@ -47,13 +38,8 @@ from ..stats.streaming import ReservoirSampler
 from ..trace.record import DEFAULT_BLOCK_SIZE
 from .analyzer import DEFAULT_PERCENTILES, reservoir_percentiles, volume_seed
 from .chunks import Chunk
-from .plan import RowPredicate
 
 __all__ = [
-    "LoadIntensityAnalyzer",
-    "LoadIntensityResult",
-    "SpatialAnalyzer",
-    "WorkingSetSketch",
     "TemporalAnalyzer",
     "TemporalResult",
     "StreamingProfileAnalyzer",
@@ -74,266 +60,6 @@ def _check_order(state_last: Optional[float], timestamps: np.ndarray) -> None:
         return
     if state_last is not None and timestamps[0] < state_last:
         raise ValueError("requests must be fed in timestamp order")
-
-
-# ---------------------------------------------------------------------------
-# Load intensity
-# ---------------------------------------------------------------------------
-
-
-class _LoadState:
-    __slots__ = (
-        "volume_id",
-        "n_reads",
-        "n_writes",
-        "read_bytes",
-        "write_bytes",
-        "first_ts",
-        "last_ts",
-        "gaps",
-        "peak_buckets",
-    )
-
-    def __init__(self, volume_id: str, reservoir_size: int) -> None:
-        self.volume_id = volume_id
-        self.n_reads = 0
-        self.n_writes = 0
-        self.read_bytes = 0
-        self.write_bytes = 0
-        self.first_ts: Optional[float] = None
-        self.last_ts: Optional[float] = None
-        self.gaps = _new_reservoir(volume_id, 1, reservoir_size)
-        self.peak_buckets: Dict[int, int] = {}
-
-
-@dataclass(frozen=True)
-class LoadIntensityResult:
-    """Per-volume load-intensity summary (engine counterpart of
-    :mod:`repro.core.load_intensity`'s per-volume metrics).
-
-    Counters are exact; ``interarrival_percentiles`` come from a reservoir.
-    ``peak_intensity`` counts requests in fixed ``peak_interval`` buckets
-    anchored at absolute time zero (the legacy columnar path anchors at a
-    volume's first request; both are the paper's fixed-window peak).
-    """
-
-    volume_id: str
-    n_requests: int
-    n_reads: int
-    n_writes: int
-    read_bytes: int
-    write_bytes: int
-    start_time: float
-    end_time: float
-    peak_interval: float
-    peak_intensity: float
-    interarrival_percentiles: Dict[float, float]
-
-    @property
-    def duration(self) -> float:
-        return self.end_time - self.start_time
-
-    @property
-    def average_intensity(self) -> float:
-        if self.n_requests < 2:
-            return 0.0
-        if self.duration <= 0:
-            return float("inf")
-        return self.n_requests / self.duration
-
-    @property
-    def burstiness_ratio(self) -> float:
-        avg = self.average_intensity
-        if avg <= 0 or not np.isfinite(avg):
-            return float("nan")
-        return self.peak_intensity / avg
-
-    @property
-    def write_read_ratio(self) -> float:
-        if self.n_reads == 0 and self.n_writes == 0:
-            return float("nan")
-        if self.n_reads == 0:
-            return float("inf")
-        return self.n_writes / self.n_reads
-
-
-class LoadIntensityAnalyzer:
-    """Exact intensity counters + inter-arrival reservoir + fixed-window peak."""
-
-    def __init__(
-        self,
-        peak_interval: float = 60.0,
-        reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
-        percentiles: Tuple[float, ...] = DEFAULT_PERCENTILES,
-        row_predicate: Optional[RowPredicate] = None,
-    ) -> None:
-        self.name = "load_intensity"
-        self.peak_interval = peak_interval
-        self.reservoir_size = reservoir_size
-        self.percentiles = percentiles
-        self.required_columns = ("timestamps", "sizes", "is_write")
-        self.row_predicate = row_predicate
-
-    def init_state(self, volume_id: str) -> _LoadState:
-        return _LoadState(volume_id, self.reservoir_size)
-
-    def consume(self, state: _LoadState, chunk: Chunk) -> _LoadState:
-        n = len(chunk)
-        if n == 0:
-            return state
-        ts = chunk.timestamps
-        _check_order(state.last_ts, ts)
-        n_writes = int(np.count_nonzero(chunk.is_write))
-        write_bytes = int(chunk.sizes[chunk.is_write].sum())
-        state.n_writes += n_writes
-        state.n_reads += n - n_writes
-        state.write_bytes += write_bytes
-        state.read_bytes += int(chunk.sizes.sum()) - write_bytes
-        gaps = np.diff(ts)
-        if len(gaps) and np.any(gaps < 0):
-            raise ValueError("requests must be fed in timestamp order")
-        if state.last_ts is None:
-            state.first_ts = float(ts[0])
-        else:
-            # Prepend the cross-chunk gap so every gap flows through
-            # add_array, whose RNG consumption is batching-invariant —
-            # reservoir contents then do not depend on chunk size.
-            gaps = np.concatenate(([float(ts[0]) - state.last_ts], gaps))
-        state.gaps.add_array(gaps)
-        state.last_ts = float(ts[-1])
-        buckets, counts = np.unique(
-            np.floor_divide(ts, self.peak_interval).astype(np.int64),
-            return_counts=True,
-        )
-        for b, c in zip(buckets.tolist(), counts.tolist()):
-            state.peak_buckets[b] = state.peak_buckets.get(b, 0) + int(c)
-        return state
-
-    def merge(self, earlier: _LoadState, later: _LoadState) -> _LoadState:
-        if later.first_ts is None:
-            return earlier
-        if earlier.last_ts is None:
-            return later
-        if later.first_ts < earlier.last_ts:
-            raise ValueError("merge requires time-ordered partial states")
-        merged = _LoadState(earlier.volume_id, self.reservoir_size)
-        merged.n_reads = earlier.n_reads + later.n_reads
-        merged.n_writes = earlier.n_writes + later.n_writes
-        merged.read_bytes = earlier.read_bytes + later.read_bytes
-        merged.write_bytes = earlier.write_bytes + later.write_bytes
-        merged.first_ts = earlier.first_ts
-        merged.last_ts = later.last_ts
-        merged.gaps = earlier.gaps.merge(later.gaps)
-        merged.gaps.add(later.first_ts - earlier.last_ts)
-        merged.peak_buckets = dict(earlier.peak_buckets)
-        for b, c in later.peak_buckets.items():
-            merged.peak_buckets[b] = merged.peak_buckets.get(b, 0) + c
-        return merged
-
-    def finalize(self, state: _LoadState) -> LoadIntensityResult:
-        peak = max(state.peak_buckets.values(), default=0) / self.peak_interval
-        return LoadIntensityResult(
-            volume_id=state.volume_id,
-            n_requests=state.n_reads + state.n_writes,
-            n_reads=state.n_reads,
-            n_writes=state.n_writes,
-            read_bytes=state.read_bytes,
-            write_bytes=state.write_bytes,
-            start_time=state.first_ts if state.first_ts is not None else float("nan"),
-            end_time=state.last_ts if state.last_ts is not None else float("nan"),
-            peak_interval=self.peak_interval,
-            peak_intensity=peak,
-            interarrival_percentiles=reservoir_percentiles(state.gaps, self.percentiles),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Spatial (working-set sketches)
-# ---------------------------------------------------------------------------
-
-
-class _SpatialState:
-    __slots__ = ("volume_id", "total", "read", "write")
-
-    def __init__(self, volume_id: str, precision: int) -> None:
-        seed = volume_seed(volume_id, 2)
-        self.volume_id = volume_id
-        self.total = HyperLogLog(precision, seed=seed)
-        self.read = HyperLogLog(precision, seed=seed)
-        self.write = HyperLogLog(precision, seed=seed)
-
-
-@dataclass(frozen=True)
-class WorkingSetSketch:
-    """HLL-estimated working-set sizes in bytes (engine counterpart of
-    :func:`repro.core.spatial.working_sets`, estimates marked ~)."""
-
-    volume_id: str
-    block_size: int
-    total_bytes: float
-    read_bytes: float
-    write_bytes: float
-
-    @property
-    def read_fraction(self) -> float:
-        if self.total_bytes <= 0:
-            return float("nan")
-        return self.read_bytes / self.total_bytes
-
-
-def _add_working_sets(total: HyperLogLog, read: HyperLogLog, write: HyperLogLog,
-                      block_id: np.ndarray, is_write: np.ndarray) -> None:
-    """Add a chunk's blocks to its total/read/write sketches (same ``p``
-    and seed): each block is hashed and ranked once, and the total is the
-    union of the read and write sketches."""
-    idx, ranks = read.positions(block_id)
-    read.add_positions(idx[~is_write], ranks[~is_write])
-    write.add_positions(idx[is_write], ranks[is_write])
-    total.update(read, write)
-
-
-class SpatialAnalyzer:
-    """Working-set size sketches at block granularity."""
-
-    def __init__(
-        self,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        hll_precision: int = 14,
-        row_predicate: Optional[RowPredicate] = None,
-    ) -> None:
-        self.name = "spatial"
-        self.block_size = block_size
-        self.hll_precision = hll_precision
-        self.required_columns = ("offsets", "sizes", "is_write")
-        self.row_predicate = row_predicate
-
-    def init_state(self, volume_id: str) -> _SpatialState:
-        return _SpatialState(volume_id, self.hll_precision)
-
-    def consume(self, state: _SpatialState, chunk: Chunk) -> _SpatialState:
-        if len(chunk) == 0:
-            return state
-        req_index, block_id = chunk.block_expansion(self.block_size)
-        is_write = chunk.is_write[req_index]
-        _add_working_sets(state.total, state.read, state.write, block_id, is_write)
-        return state
-
-    def merge(self, earlier: _SpatialState, later: _SpatialState) -> _SpatialState:
-        merged = _SpatialState(earlier.volume_id, self.hll_precision)
-        merged.total = earlier.total.merge(later.total)
-        merged.read = earlier.read.merge(later.read)
-        merged.write = earlier.write.merge(later.write)
-        return merged
-
-    def finalize(self, state: _SpatialState) -> WorkingSetSketch:
-        bs = self.block_size
-        return WorkingSetSketch(
-            volume_id=state.volume_id,
-            block_size=bs,
-            total_bytes=state.total.estimate() * bs,
-            read_bytes=state.read.estimate() * bs,
-            write_bytes=state.write.estimate() * bs,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +181,12 @@ class TemporalAnalyzer:
         block_size: int = DEFAULT_BLOCK_SIZE,
         reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
         percentiles: Tuple[float, ...] = DEFAULT_PERCENTILES,
-        row_predicate: Optional[RowPredicate] = None,
     ) -> None:
         self.name = "temporal"
         self.block_size = block_size
         self.reservoir_size = reservoir_size
         self.percentiles = percentiles
         self.required_columns = ("timestamps", "offsets", "sizes", "is_write")
-        self.row_predicate = row_predicate
 
     def init_state(self, volume_id: str) -> _TemporalState:
         return _TemporalState(volume_id, self.reservoir_size)
@@ -596,6 +320,17 @@ class StreamingVolumeProfile:
         return self.wss_read_bytes / self.wss_total_bytes
 
 
+def _add_working_sets(total: HyperLogLog, read: HyperLogLog, write: HyperLogLog,
+                      block_id: np.ndarray, is_write: np.ndarray) -> None:
+    """Add a chunk's blocks to its total/read/write sketches (same ``p``
+    and seed): each block is hashed and ranked once, and the total is the
+    union of the read and write sketches."""
+    idx, ranks = read.positions(block_id)
+    read.add_positions(idx[~is_write], ranks[~is_write])
+    write.add_positions(idx[is_write], ranks[is_write])
+    total.update(read, write)
+
+
 class _ProfileState:
     __slots__ = (
         "volume_id",
@@ -643,7 +378,6 @@ class StreamingProfileAnalyzer:
         reservoir_size: int = DEFAULT_RESERVOIR_SIZE,
         hll_precision: int = 14,
         percentiles: Tuple[float, ...] = DEFAULT_PERCENTILES,
-        row_predicate: Optional[RowPredicate] = None,
     ) -> None:
         self.name = "streaming_profile"
         self.block_size = block_size
@@ -651,7 +385,6 @@ class StreamingProfileAnalyzer:
         self.hll_precision = hll_precision
         self.percentiles = percentiles
         self.required_columns = ("timestamps", "offsets", "sizes", "is_write")
-        self.row_predicate = row_predicate
 
     def init_state(self, volume_id: str) -> _ProfileState:
         return _ProfileState(volume_id, self.reservoir_size, self.hll_precision)
@@ -674,8 +407,9 @@ class StreamingProfileAnalyzer:
         if state.last_ts is None:
             state.first_ts = float(ts[0])
         else:
-            # Same batching-invariance trick as LoadIntensityAnalyzer:
-            # the cross-chunk gap must go through add_array too.
+            # Prepend the cross-chunk gap so every gap flows through
+            # add_array, whose RNG consumption is batching-invariant —
+            # reservoir contents then do not depend on chunk size.
             gaps = np.concatenate(([float(ts[0]) - state.last_ts], gaps))
         state.gaps.add_array(gaps)
         state.last_ts = float(ts[-1])
@@ -709,8 +443,8 @@ class StreamingProfileAnalyzer:
 
     def finalize(self, state: _ProfileState) -> StreamingVolumeProfile:
         if state.n_reads + state.n_writes == 0:
-            # A predicate can filter a volume's rows down to nothing;
-            # finalize must still produce a (empty) profile, not raise.
+            # A state that consumed no rows finalizes to an empty
+            # profile instead of raising.
             return StreamingVolumeProfile(
                 volume_id=state.volume_id,
                 n_requests=0,

@@ -78,7 +78,6 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "Chunk",
     "ColumnPrunedError",
-    "apply_predicate",
     "apply_plan",
     "iter_chunks",
     "chunks_from_trace",
@@ -295,15 +294,6 @@ def _filter_rows(
         value = chunk._materialized(name)
         cols[name] = None if value is None else value[mask]
     return Chunk(chunk.volume_id, n_rows=kept, **cols), n - kept
-
-
-def apply_predicate(chunk: Chunk, predicate: Optional[RowPredicate]) -> Optional[Chunk]:
-    """Rows of ``chunk`` matching ``predicate``, or None when none do.
-
-    Counter-free: used for per-analyzer residual predicates inside the
-    fold, where the run-level plan counters have already been charged.
-    """
-    return _filter_rows(chunk, predicate)[0]
 
 
 def apply_plan(chunk: Chunk, plan: Optional[QueryPlan]) -> Optional[Chunk]:
@@ -801,6 +791,15 @@ class _VolumeColumns:
         self.response_times: List[np.ndarray] = []
 
 
+def _concat_release(parts: List[np.ndarray]) -> Optional[np.ndarray]:
+    """One column of one volume; empties ``parts`` so its chunks can go."""
+    if not parts:
+        return None
+    column = np.concatenate(parts)
+    parts.clear()
+    return column
+
+
 class _ColumnCollector:
     """The fold behind dataset materialization: keep every chunk's columns.
 
@@ -891,19 +890,15 @@ def read_dataset_dir_chunked(
         on_error=on_error, retry=retry, unit_timeout=unit_timeout, store=store,
         predicate=predicate, split_rows=split_rows, backend=backend,
     )
+    volumes = merged.pop(0)
     dataset = TraceDataset(name or os.path.basename(os.path.normpath(directory)))
     # Insertion (first-appearance) order, not sorted: volume order reaches
-    # the analyze JSON and the float sums in findings.
-    for vid, cols in merged[0].items():
-        with_rt = bool(cols.response_times)
-        dataset.add(
-            VolumeTrace(
-                vid,
-                np.concatenate(cols.timestamps),
-                np.concatenate(cols.offsets),
-                np.concatenate(cols.sizes),
-                np.concatenate(cols.is_write),
-                np.concatenate(cols.response_times) if with_rt else None,
-            )
-        )
+    # the analyze JSON and the float sums in findings.  Each volume's
+    # chunks are released as soon as its arrays are built, so the read
+    # peaks near the dataset plus one volume, not twice the dataset.
+    while volumes:
+        vid = next(iter(volumes))
+        cols = volumes.pop(vid)
+        columns = {name: _concat_release(getattr(cols, name)) for name in _VolumeColumns.__slots__}
+        dataset.add(VolumeTrace(vid, **columns))
     return dataset

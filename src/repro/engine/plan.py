@@ -7,7 +7,7 @@ analyzer receives every column of every chunk.  A :class:`QueryPlan`
 captures, per run, the union of what the analyzers actually need:
 
 * **columns** — the union of each analyzer's declared
-  ``required_columns`` (plus whatever the predicates below must read).
+  ``required_columns`` (plus whatever the predicate below must read).
   The store reader then ``np.load``'s only those ``.npy`` segments and
   text-path chunks prune the rest, so an analyzer touching an
   undeclared column fails loudly
@@ -29,22 +29,18 @@ engine and the store import it without cycles.  Plans and predicates
 are small frozen (picklable) values that travel to pool workers next to
 the analyzers.
 
-Analyzers opt in by exposing two optional attributes (absence means
-"everything", which keeps pre-plan analyzers working unchanged):
-
-* ``required_columns`` — iterable of column names out of
-  :data:`ALL_COLUMNS`, or ``None`` for all columns;
-* ``row_predicate`` — a :class:`RowPredicate` this analyzer wants
-  applied to its own input stream, or ``None``.
-
-Read them through :func:`analyzer_columns` / :func:`analyzer_predicate`
-rather than ``getattr`` so validation stays in one place.
+Analyzers opt in by exposing an optional ``required_columns``
+attribute — an iterable of column names out of :data:`ALL_COLUMNS`, or
+``None`` for all columns (absence means "everything", which keeps
+pre-plan analyzers working unchanged).  Read it through
+:func:`analyzer_columns` rather than ``getattr`` so validation stays in
+one place.  The run-level :class:`RowPredicate` is the one row filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence, Tuple
+from typing import Any, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -56,9 +52,6 @@ __all__ = [
     "RowPredicate",
     "QueryPlan",
     "analyzer_columns",
-    "analyzer_predicate",
-    "intersect_predicates",
-    "union_predicates",
     "plan_for",
 ]
 
@@ -182,73 +175,13 @@ class RowPredicate:
         return True
 
 
-def intersect_predicates(
-    a: Optional[RowPredicate], b: Optional[RowPredicate]
-) -> Optional[RowPredicate]:
-    """The conjunction of two predicates (None means match-everything).
-
-    Conflicting op kinds (``read AND write``) select nothing, expressed
-    as an empty ``volumes`` tuple.
-    """
-    if a is None:
-        return b
-    if b is None:
-        return a
-    since = a.since if b.since is None else (b.since if a.since is None else max(a.since, b.since))
-    until = a.until if b.until is None else (b.until if a.until is None else min(a.until, b.until))
-    volumes: Optional[Tuple[str, ...]]
-    if a.volumes is None:
-        volumes = b.volumes
-    elif b.volumes is None:
-        volumes = a.volumes
-    else:
-        volumes = tuple(sorted(set(a.volumes) & set(b.volumes)))
-    op = a.op or b.op
-    if a.op is not None and b.op is not None and a.op != b.op:
-        # read AND write: provably empty.
-        volumes, op = (), None
-    return RowPredicate(since=since, until=until, volumes=volumes, op=op)
-
-
-def union_predicates(
-    predicates: Sequence[Optional[RowPredicate]],
-) -> Optional[RowPredicate]:
-    """A predicate at least as wide as every input (None = everything).
-
-    Used for the shared pushdown when several analyzers each declare
-    their own ``row_predicate``: rows outside the union interest nobody
-    and can be pruned once, centrally; each analyzer's exact predicate
-    is then re-applied as a residual filter.  Any ``None`` input widens
-    the union to everything.
-    """
-    if not predicates or any(p is None for p in predicates):
-        return None
-    preds = [p for p in predicates if p is not None]
-    since = None
-    if all(p.since is not None for p in preds):
-        since = min(p.since for p in preds if p.since is not None)
-    until = None
-    if all(p.until is not None for p in preds):
-        until = max(p.until for p in preds if p.until is not None)
-    volumes: Optional[Tuple[str, ...]] = None
-    if all(p.volumes is not None for p in preds):
-        merged = set()
-        for p in preds:
-            merged.update(p.volumes or ())
-        volumes = tuple(sorted(merged))
-    ops = {p.op for p in preds}
-    op = preds[0].op if len(ops) == 1 else None
-    union = RowPredicate(since=since, until=until, volumes=volumes, op=op)
-    return None if union.is_null() else union
-
-
 @dataclass(frozen=True)
 class QueryPlan:
     """What one engine run needs from the data path.
 
     Attributes:
         columns: the union of every analyzer's declared columns plus
-            whatever the predicates must read, as a canonically-ordered
+            whatever the predicate must read, as a canonically-ordered
             tuple; ``None`` means all columns (no pruning).
         predicate: the pushed-down row filter shared by the whole run;
             ``None`` means serve every row.
@@ -310,54 +243,32 @@ def analyzer_columns(analyzer: Any) -> Optional[Tuple[str, ...]]:
     return tuple(c for c in ALL_COLUMNS if c in names)
 
 
-def analyzer_predicate(analyzer: Any) -> Optional[RowPredicate]:
-    """An analyzer's declared ``row_predicate``, or None (= every row)."""
-    predicate = getattr(analyzer, "row_predicate", None)
-    if predicate is None:
-        return None
-    if not isinstance(predicate, RowPredicate):
-        raise TypeError(
-            f"analyzer {getattr(analyzer, 'name', analyzer)!r}.row_predicate must be "
-            f"a RowPredicate, got {type(predicate).__name__}"
-        )
-    return None if predicate.is_null() else predicate
-
-
 def plan_for(
     analyzers: Iterable[Any], predicate: Optional[RowPredicate] = None
 ) -> Optional[QueryPlan]:
-    """The union plan of one run: what to load, what to push down.
+    """The plan of one run: what to load, what to push down.
 
-    * ``columns``: the union of every analyzer's declaration plus every
+    * ``columns``: the union of every analyzer's declaration plus the
       predicate's inputs; one undeclared analyzer widens it to all.
-    * ``predicate``: the run-level ``predicate`` intersected with the
-      union of the analyzers' own predicates (an analyzer without one
-      widens that union to everything).  Per-analyzer predicates
-      narrower than the plan's are re-applied by the runner as residual
-      filters, so each analyzer still sees exactly its own row stream.
+    * ``predicate``: the run-level ``predicate``, pushed down as is.
 
     Returns None when there is nothing to plan (every column needed, no
-    predicate anywhere) — callers then skip plan plumbing entirely.
+    predicate) — callers then skip plan plumbing entirely.
     """
     analyzers = list(analyzers)
     column_sets = [analyzer_columns(a) for a in analyzers]
-    analyzer_preds = [analyzer_predicate(a) for a in analyzers]
+    if predicate is not None and predicate.is_null():
+        predicate = None
 
     columns: Optional[Tuple[str, ...]] = None
     if analyzers and all(cols is not None for cols in column_sets):
         needed = set()
         for cols in column_sets:
             needed.update(cols or ())
-        for pred in analyzer_preds:
-            if pred is not None:
-                needed.update(pred.columns_needed())
         if predicate is not None:
             needed.update(predicate.columns_needed())
         columns = tuple(c for c in ALL_COLUMNS if c in needed)
 
-    pushdown = intersect_predicates(predicate, union_predicates(analyzer_preds))
-    if pushdown is not None and pushdown.is_null():
-        pushdown = None
-    if columns is None and pushdown is None and all(p is None for p in analyzer_preds):
+    if columns is None and predicate is None:
         return None
-    return QueryPlan(columns=columns, predicate=pushdown)
+    return QueryPlan(columns=columns, predicate=predicate)

@@ -99,11 +99,10 @@ from .chunks import (
     DEFAULT_CHUNK_SIZE,
     Chunk,
     apply_plan,
-    apply_predicate,
     chunks_from_trace,
     list_trace_files,
 )
-from .plan import QueryPlan, RowPredicate, analyzer_predicate, plan_for
+from .plan import QueryPlan, RowPredicate, plan_for
 from .units import WorkUnit, checkpoint_key, file_cost, plan_units, unit_chunks
 
 if TYPE_CHECKING:  # runtime import is lazy: repro.store imports the engine
@@ -335,58 +334,28 @@ class EngineResult:
         return sorted(ids)
 
 
-def _residual_predicates(
-    analyzers: Sequence[Analyzer], plan: Optional[QueryPlan]
-) -> List[Optional[RowPredicate]]:
-    """Per-analyzer predicates still to apply after the plan's pushdown.
-
-    The plan's shared predicate is the *union* of the analyzers' own
-    predicates (intersected with the run-level one), so an analyzer whose
-    predicate is narrower than the pushdown re-filters its slice of each
-    surviving chunk here.  An analyzer whose predicate equals the
-    pushdown has nothing left to do (None).
-    """
-    base = plan.predicate if plan is not None else None
-    residuals: List[Optional[RowPredicate]] = []
-    for a in analyzers:
-        own = analyzer_predicate(a)
-        residuals.append(None if own is None or own == base else own)
-    return residuals
-
-
-def _fold_chunks(
-    analyzers: Sequence[Analyzer],
-    chunks: Iterable[Chunk],
-    plan: Optional[QueryPlan] = None,
-) -> _StateMap:
+def _fold_chunks(analyzers: Sequence[Analyzer], chunks: Iterable[Chunk]) -> _StateMap:
     """Fold a chunk stream through every analyzer (shared single pass).
 
-    ``chunks`` must already reflect ``plan`` (pushed-down rows pruned);
-    only per-analyzer residual predicates are applied here, chunk by
-    chunk, so each analyzer consumes exactly its own declared row stream.
+    ``chunks`` must already reflect the run's plan (pushed-down rows
+    pruned, undeclared columns dropped).
     """
     states: _StateMap = {i: {} for i in range(len(analyzers))}
     reg = metrics.get_registry()
     requests_total = reg.counter("engine.requests")
     chunks_total = reg.counter("engine.chunks")
     span_names = [f"consume.{a.name}" for a in analyzers]
-    residuals = _residual_predicates(analyzers, plan)
     for chunk in chunks:
         requests_total.inc(len(chunk))
         chunks_total.inc()
+        vid = chunk.volume_id
         for i, analyzer in enumerate(analyzers):
-            target = chunk
-            if residuals[i] is not None:
-                target = apply_predicate(chunk, residuals[i])
-                if target is None:
-                    continue
-            vid = target.volume_id
             per_vol = states[i]
             state = per_vol.get(vid)
             if state is None:
                 state = analyzer.init_state(vid)
             with span(span_names[i]):
-                per_vol[vid] = analyzer.consume(state, target)
+                per_vol[vid] = analyzer.consume(state, chunk)
     return states
 
 
@@ -422,7 +391,6 @@ def _fold_file(
             unit, fmt=fmt, chunk_size=chunk_size, on_error=on_error,
             errors=parse_errors, store=store, plan=plan,
         ),
-        plan,
     )
     if parse_errors is not None and not (parse_errors.dropped or parse_errors.store_events):
         parse_errors = None
@@ -445,7 +413,7 @@ def _fold_volume(
     plan: Optional[QueryPlan] = None,
 ) -> _StateMap:
     """Worker unit: fold one in-memory volume."""
-    return _fold_chunks(analyzers, _planned_trace_chunks(trace, chunk_size, plan), plan)
+    return _fold_chunks(analyzers, _planned_trace_chunks(trace, chunk_size, plan))
 
 
 def _merge_states(
@@ -494,6 +462,16 @@ def _finalize(
     )
 
 
+def _import_before_fork(store: Optional["StoreConfig"]) -> None:
+    """Import in the parent what every forked pool worker would import
+    on its own: ``numpy.random`` (reservoir draws) and, with a store, the
+    store's serving modules."""
+    import numpy.random  # noqa: F401
+
+    if store is not None:
+        from ..store import try_serve  # noqa: F401
+
+
 def _fold_units(
     paths: Sequence[str],
     analyzers: Sequence[Analyzer],
@@ -533,6 +511,8 @@ def _fold_units(
     else:
         units = list(paths)
         priorities = [file_cost(p) for p in paths]
+    if workers > 1 and len(units) > 1:
+        _import_before_fork(store)
     checkpointer: Optional[Checkpointer] = None
     if checkpoint is not None:
         from ..resilience.checkpoint import Checkpointer
@@ -620,8 +600,8 @@ def run_files(
     text path at any worker count.
 
     Query planning: the run's :class:`~repro.engine.plan.QueryPlan` is
-    the union of the analyzers' declared ``required_columns`` /
-    ``row_predicate`` intersected with the run-level ``predicate``; the
+    the union of the analyzers' declared ``required_columns`` plus the
+    run-level ``predicate``; the
     data path then loads only planned columns and serves only matching
     rows (a warm store skips provably disjoint chunks outright).  Results
     equal the unpruned run post-filtered, at any worker count.

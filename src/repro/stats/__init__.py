@@ -11,7 +11,7 @@ if TYPE_CHECKING:
     from .histogram import Histogram, duration_group_fractions, linear_histogram, log_histogram
     from .hll import HyperLogLog
     from .quantiles import PAPER_PERCENTILES, percentile_groups, percentile_table
-    from .streaming import ReservoirSampler, StreamingMinMax, StreamingMoments
+    from .streaming import ReservoirSampler
     from .timeseries import bucket_counts, bucket_edges, interval_activity, max_interval_count
 
 __all__ = [
@@ -28,8 +28,6 @@ __all__ = [
     "bucket_edges",
     "interval_activity",
     "max_interval_count",
-    "StreamingMoments",
-    "StreamingMinMax",
     "ReservoirSampler",
     "CANDIDATES",
     "DistributionFit",
@@ -47,7 +45,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".hll": ("HyperLogLog",),
     ".quantiles": ("PAPER_PERCENTILES", "percentile_groups", "percentile_table"),
-    ".streaming": ("ReservoirSampler", "StreamingMinMax", "StreamingMoments"),
+    ".streaming": ("ReservoirSampler",),
     ".timeseries": (
         "bucket_counts", "bucket_edges", "interval_activity", "max_interval_count",
     ),

@@ -1,111 +1,22 @@
 """Streaming statistics for single-pass trace processing.
 
 When traces are too large to hold in memory (the real AliCloud release is
-tens of GB), analyses can fold rows through these accumulators instead of
-materializing arrays.
+tens of GB), analyses can fold rows through a fixed-size reservoir instead
+of materializing arrays.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Optional
 
 import numpy as np
 
-__all__ = ["StreamingMoments", "ReservoirSampler", "StreamingMinMax"]
+__all__ = ["ReservoirSampler"]
 
 #: Seed of the fallback reservoir generator.  A caller that does not
 #: thread its own seeded Generator still gets run-to-run identical
 #: sampling (RC001: no fresh OS entropy in analysis paths).
 DEFAULT_RESERVOIR_SEED = 0x5EED
-
-
-class StreamingMoments:
-    """Welford single-pass mean/variance accumulator."""
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, x: float) -> None:
-        self._n += 1
-        delta = x - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (x - self._mean)
-
-    def add_many(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(float(x))
-
-    def merge(self, other: "StreamingMoments") -> "StreamingMoments":
-        """Combine two accumulators (parallel reduction; Chan's formula)."""
-        merged = StreamingMoments()
-        n = self._n + other._n
-        if n == 0:
-            return merged
-        delta = other._mean - self._mean
-        merged._n = n
-        merged._mean = self._mean + delta * other._n / n
-        merged._m2 = self._m2 + other._m2 + delta * delta * self._n * other._n / n
-        return merged
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def mean(self) -> float:
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Population variance."""
-        if self._n == 0:
-            raise ValueError("no samples")
-        return self._m2 / self._n
-
-    @property
-    def sample_variance(self) -> float:
-        if self._n < 2:
-            raise ValueError("need at least two samples")
-        return self._m2 / (self._n - 1)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-
-class StreamingMinMax:
-    """Single-pass min/max tracker."""
-
-    def __init__(self) -> None:
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-
-    def add(self, x: float) -> None:
-        if self._min is None or x < self._min:
-            self._min = x
-        if self._max is None or x > self._max:
-            self._max = x
-
-    def add_many(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(float(x))
-
-    @property
-    def min(self) -> float:
-        if self._min is None:
-            raise ValueError("no samples")
-        return self._min
-
-    @property
-    def max(self) -> float:
-        if self._max is None:
-            raise ValueError("no samples")
-        return self._max
 
 
 class ReservoirSampler:

@@ -17,7 +17,7 @@ import os
 import shutil
 from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -154,28 +154,35 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _clean_stale_tmp(entry: str) -> None:
+#: Store directories this process has already swept for abandoned builds.
+_swept_dirs: Set[str] = set()
+
+
+def _clean_stale_tmp(store_dir: str) -> None:
     """Remove abandoned ``<entry>.tmp-<pid>`` dirs whose builder died.
 
     A SIGKILL mid-build leaves the temp directory behind (the ``except``
     cleanup never runs); the manifest-last discipline means it holds no
-    entry a reader would trust, but it wastes disk forever.  The next
-    builder of the same entry sweeps temp dirs whose owning pid is gone —
-    live pids are left alone (a concurrent build in flight).
+    entry a reader would trust, but it wastes disk forever.  The first
+    build of a process in a store directory sweeps that directory's temp
+    dirs whose owning pid is gone — live pids are left alone (a
+    concurrent build in flight).  Later builds there skip the sweep, so
+    an ingest lists the directory once, not once per entry.
     """
-    parent, base = os.path.split(entry)
-    prefix = f"{base}.tmp-"
+    key = os.path.abspath(store_dir)
+    if key in _swept_dirs:
+        return
+    _swept_dirs.add(key)
     try:
-        siblings = os.listdir(parent or ".")
+        names = os.listdir(store_dir)
     except OSError:
         return
-    for name in siblings:
-        if not name.startswith(prefix):
-            continue
-        suffix = name[len(prefix):]
-        if suffix.isdigit() and suffix != str(os.getpid()) and not _pid_alive(int(suffix)):
-            _log.info("store_stale_tmp_removed", path=os.path.join(parent, name))
-            shutil.rmtree(os.path.join(parent, name), ignore_errors=True)
+    own = str(os.getpid())
+    for name in names:
+        _, sep, suffix = name.rpartition(".tmp-")
+        if sep and suffix.isdigit() and suffix != own and not _pid_alive(int(suffix)):
+            _log.info("store_stale_tmp_removed", path=os.path.join(store_dir, name))
+            shutil.rmtree(os.path.join(store_dir, name), ignore_errors=True)
 
 
 def _swap_into_place(tmp: str, entry: str) -> bool:
@@ -247,8 +254,9 @@ def build_entry(
         volume_rows=_volume_rows(codes, ids, len(timestamps)),
     )
 
-    entry = entry_dir(StoreConfig(dir=store_dir).dir_for(path), path)
-    _clean_stale_tmp(entry)
+    entry_parent = StoreConfig(dir=store_dir).dir_for(path)
+    entry = entry_dir(entry_parent, path)
+    _clean_stale_tmp(entry_parent)
     tmp = f"{entry}.tmp-{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp)

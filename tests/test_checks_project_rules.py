@@ -152,8 +152,9 @@ class TestRC007Columns:
 
 class TestRC007Drill:
     def test_deleting_a_spatial_column_fails_the_lint(self, tmp_path):
-        """The acceptance drill: drop 'offsets' from SpatialAnalyzer's
-        declaration and RC007 must name the column and the access site."""
+        """The acceptance drill: drop 'offsets' from TemporalAnalyzer's
+        declaration and RC007 must name the column and the access site
+        (``consume`` reaches it through ``Chunk.block_expansion``)."""
         import repro
 
         src = os.path.dirname(repro.__file__)
@@ -161,18 +162,24 @@ class TestRC007Drill:
         shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
         analyzers = copy / "engine" / "analyzers.py"
         text = analyzers.read_text()
-        wanted = 'self.required_columns = ("offsets", "sizes", "is_write")'
-        assert wanted in text, "SpatialAnalyzer declaration moved; update the drill"
+        wanted = 'self.required_columns = ("timestamps", "offsets", "sizes", "is_write")'
+        start = text.index("class TemporalAnalyzer:")
+        at = text.index(wanted, start)
+        assert at < text.index("\nclass ", start + 1), (
+            "TemporalAnalyzer declaration moved; update the drill"
+        )
         analyzers.write_text(
-            text.replace(wanted, 'self.required_columns = ("sizes", "is_write")')
+            text[:at]
+            + 'self.required_columns = ("timestamps", "sizes", "is_write")'
+            + text[at + len(wanted):]
         )
         findings = lint_tree(copy, ["RC007"])
-        spatial = [f for f in findings if "SpatialAnalyzer" in f.message]
-        assert spatial, findings
+        temporal = [f for f in findings if "TemporalAnalyzer" in f.message]
+        assert temporal, findings
         assert any(
-            "'offsets'" in f.message and f.severity == "error" for f in spatial
-        ), spatial
-        assert all(f.path.endswith("analyzers.py") for f in spatial)
+            "'offsets'" in f.message and f.severity == "error" for f in temporal
+        ), temporal
+        assert all(f.path.endswith("analyzers.py") for f in temporal)
 
     def test_unmodified_tree_is_clean(self, tmp_path):
         import repro

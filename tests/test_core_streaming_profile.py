@@ -10,7 +10,6 @@ import pytest
 from repro.core import interarrival_times, working_sets
 from repro.engine import (
     Chunk,
-    LoadIntensityAnalyzer,
     RowPredicate,
     StreamingProfileAnalyzer,
     StreamingVolumeProfile,
@@ -67,11 +66,12 @@ class TestStreamingVolumeProfiler:
         # A predicate that leaves a volume no rows drops it from the run's
         # profiles instead of raising; an empty state finalizes to zeros.
         tr = make_trace(is_write=[True, True, True, True])
-        reads_only = StreamingProfileAnalyzer(row_predicate=RowPredicate(op="read"))
-        result = run_dataset(TraceDataset("t", {"v0": tr}), [reads_only, LoadIntensityAnalyzer()])
-        assert result.analyzer("load_intensity")["v0"].n_requests == 4
+        analyzer = StreamingProfileAnalyzer()
+        dataset = TraceDataset("t", {"v0": tr})
+        assert run_dataset(dataset, [analyzer]).analyzer("streaming_profile")["v0"].n_requests == 4
+        result = run_dataset(dataset, [analyzer], predicate=RowPredicate(op="read"))
         assert result.analyzer("streaming_profile") == {}
-        profile = reads_only.finalize(reads_only.init_state("v0"))
+        profile = analyzer.finalize(analyzer.init_state("v0"))
         assert profile.volume_id == "v0"
         assert (profile.n_requests, profile.n_reads, profile.n_writes) == (0, 0, 0)
         assert (profile.read_bytes, profile.write_bytes) == (0, 0)

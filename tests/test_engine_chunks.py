@@ -8,6 +8,7 @@ messages and line numbers.
 import gzip
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,3 +313,38 @@ class TestReadDatasetDirChunked:
             list_trace_files(str(tmp_path))
         with pytest.raises(FileNotFoundError):
             read_dataset_dir_chunked(str(tmp_path))
+
+    def test_peak_is_dataset_plus_one_volume(self, tmp_path):
+        # Each volume's chunks are released once its arrays are built, so
+        # the read peaks at the dataset, plus one volume being concatenated,
+        # plus what parsing one file takes on its own.
+        from repro.synth import Scale, make_alicloud_fleet
+
+        fleet = make_alicloud_fleet(
+            n_volumes=16, seed=3, scale=Scale(n_days=2, day_seconds=600.0)
+        )
+        write_dataset_dir(fleet, str(tmp_path), fmt="alicloud")
+        chunk_size = 1024
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                return fn(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def read():
+            return read_dataset_dir_chunked(str(tmp_path), chunk_size=chunk_size)
+
+        read()  # warm-up: first-use allocations
+        biggest = max(list_trace_files(str(tmp_path)), key=os.path.getsize)
+        _, parse_peak = traced_peak(
+            lambda: [len(c) for c in iter_chunks(biggest, "alicloud", chunk_size=chunk_size)]
+        )
+        dataset, peak = traced_peak(read)
+        sizes = [
+            sum(getattr(dataset[vid], c).nbytes for c in ("timestamps", "offsets", "sizes", "is_write"))
+            for vid in dataset.volume_ids()
+        ]
+        assert len(sizes) == 16
+        assert peak <= sum(sizes) + max(sizes) + parse_peak

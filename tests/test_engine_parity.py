@@ -12,15 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core import working_sets
-from repro.core.load_intensity import (
-    average_intensity,
-    peak_intensity,
-    write_read_ratio,
-)
+from repro.core.load_intensity import average_intensity, write_read_ratio
 from repro.core.temporal import adjacent_access_times, update_intervals
 from repro.engine import (
-    LoadIntensityAnalyzer,
-    SpatialAnalyzer,
     StreamingProfileAnalyzer,
     TemporalAnalyzer,
     run,
@@ -45,8 +39,6 @@ def _exact_pcts(values):
 
 def _analyzers(reservoir_size):
     return [
-        LoadIntensityAnalyzer(peak_interval=10.0, reservoir_size=reservoir_size),
-        SpatialAnalyzer(block_size=BS),
         TemporalAnalyzer(block_size=BS, reservoir_size=reservoir_size),
         StreamingProfileAnalyzer(block_size=BS, reservoir_size=reservoir_size),
     ]
@@ -81,7 +73,7 @@ def ali_engine(tiny_ali):
 
 class TestExactCounterParity:
     def test_load_intensity(self, tiny_ali, ali_engine):
-        results = ali_engine.analyzer("load_intensity")
+        results = ali_engine.analyzer("streaming_profile")
         for trace in tiny_ali.non_empty_volumes():
             got = results[trace.volume_id]
             assert got.n_requests == len(trace)
@@ -97,24 +89,13 @@ class TestExactCounterParity:
                 assert got.write_read_ratio == pytest.approx(legacy_wr)
 
     def test_load_intensity_quantiles_exact(self, tiny_ali, ali_engine):
-        results = ali_engine.analyzer("load_intensity")
+        results = ali_engine.analyzer("streaming_profile")
         for trace in tiny_ali.non_empty_volumes():
             got = results[trace.volume_id].interarrival_percentiles
             expected = _exact_pcts(np.diff(trace.timestamps))
             assert got.keys() == expected.keys()
             for p, v in expected.items():
                 assert got[p] == pytest.approx(v)
-
-    def test_peak_intensity_within_rebucketing_bound(self, tiny_ali, ali_engine):
-        # Engine peaks bucket at absolute time zero, legacy at the volume's
-        # first timestamp.  Any bucket of one anchoring is covered by at
-        # most two buckets of the other, so the peaks agree within 2x.
-        results = ali_engine.analyzer("load_intensity")
-        for trace in tiny_ali.non_empty_volumes():
-            got = results[trace.volume_id].peak_intensity
-            legacy = peak_intensity(trace, 10.0)
-            assert 0 < got <= 2 * legacy + 1e-9
-            assert legacy <= 2 * got + 1e-9
 
     def test_temporal_counts(self, tiny_ali, ali_engine):
         results = ali_engine.analyzer("temporal")
@@ -136,13 +117,13 @@ class TestExactCounterParity:
                 assert got.update_interval_percentiles[p] == pytest.approx(v)
 
     def test_spatial_within_sketch_tolerance(self, tiny_ali, ali_engine):
-        results = ali_engine.analyzer("spatial")
+        results = ali_engine.analyzer("streaming_profile")
         for trace in tiny_ali.non_empty_volumes():
             got = results[trace.volume_id]
             exact = working_sets(trace, BS)
-            assert got.total_bytes == pytest.approx(exact.total, rel=0.05)
-            assert got.read_bytes == pytest.approx(exact.read, rel=0.05)
-            assert got.write_bytes == pytest.approx(exact.write, rel=0.05)
+            assert got.wss_total_bytes == pytest.approx(exact.total, rel=0.05)
+            assert got.wss_read_bytes == pytest.approx(exact.read, rel=0.05)
+            assert got.wss_write_bytes == pytest.approx(exact.write, rel=0.05)
 
     def test_streaming_profile_matches_legacy_profiler(self, tiny_ali, ali_engine):
         results = ali_engine.analyzer("streaming_profile")
@@ -157,18 +138,18 @@ class TestExactCounterParity:
             assert got.write_bytes == trace.write_bytes
             assert got.start_time == trace.start_time
             assert got.end_time == trace.end_time
-            # HLL working sets agree with the exact ones within sketch
-            # tolerance.
-            exact = working_sets(trace, BS)
-            assert got.wss_total_bytes == pytest.approx(exact.total, rel=0.05)
-            assert got.wss_read_bytes == pytest.approx(exact.read, rel=0.05)
-            assert got.wss_write_bytes == pytest.approx(exact.write, rel=0.05)
+            # Request-size percentiles are exact while the reservoir holds
+            # the whole stream.
+            expected = _exact_pcts(trace.sizes)
+            assert got.size_percentiles.keys() == expected.keys()
+            for p, v in expected.items():
+                assert got.size_percentiles[p] == pytest.approx(v)
 
 
 class TestMsrcParity:
     def test_exact_counters_from_files(self, tiny_msrc, msrc_dir):
         result = run(msrc_dir, _analyzers(EXACT_RESERVOIR), fmt="msrc", chunk_size=101)
-        load = result.analyzer("load_intensity")
+        load = result.analyzer("streaming_profile")
         temporal = result.analyzer("temporal")
         for trace in tiny_msrc.non_empty_volumes():
             got = load[trace.volume_id]
@@ -218,10 +199,7 @@ class TestDeterminism:
         # draws differ) — otherwise the inter-arrival reservoir depends
         # on the number of chunk boundaries once it is over capacity.
         # A size-8 reservoir forces rejection sampling on every volume.
-        analyzers = [
-            LoadIntensityAnalyzer(peak_interval=10.0, reservoir_size=8),
-            StreamingProfileAnalyzer(block_size=BS, reservoir_size=8),
-        ]
+        analyzers = [StreamingProfileAnalyzer(block_size=BS, reservoir_size=8)]
         small = run_dataset(tiny_ali, analyzers, chunk_size=17)
         big = run_dataset(tiny_ali, analyzers, chunk_size=10**6)
         assert _as_comparable(small) == _as_comparable(big)

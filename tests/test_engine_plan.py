@@ -16,22 +16,17 @@ from repro.engine import (
     ALL_COLUMNS,
     Chunk,
     ColumnPrunedError,
-    LoadIntensityAnalyzer,
     QueryPlan,
     RowPredicate,
-    SpatialAnalyzer,
     StreamingProfileAnalyzer,
     TemporalAnalyzer,
     analyzer_columns,
-    analyzer_predicate,
     apply_plan,
-    apply_predicate,
     plan_for,
     read_dataset_dir_chunked,
     run,
     run_dataset,
 )
-from repro.engine.plan import intersect_predicates, union_predicates
 from repro.obs import collecting
 from repro.store import StoreConfig, ingest_dir
 from repro.trace import TraceDataset, write_dataset_dir
@@ -43,10 +38,32 @@ BS = 4096
 EXACT_RESERVOIR = 1 << 20
 
 
+class NarrowCounts:
+    """A fold that reads no ``offsets``: request and byte counts per op."""
+
+    name = "narrow_counts"
+    required_columns = ("timestamps", "sizes", "is_write")
+
+    def init_state(self, volume_id):
+        return [0, 0, 0, 0]  # reads, writes, read bytes, write bytes
+
+    def consume(self, state, chunk):
+        w = chunk.is_write
+        n_writes, write_bytes = int(w.sum()), int(chunk.sizes[w].sum())
+        return [
+            state[0] + len(chunk) - n_writes, state[1] + n_writes,
+            state[2] + int(chunk.sizes.sum()) - write_bytes, state[3] + write_bytes,
+        ]
+
+    def merge(self, earlier, later):
+        return [a + b for a, b in zip(earlier, later)]
+
+    def finalize(self, state):
+        return tuple(state)
+
+
 def _analyzers(reservoir_size=EXACT_RESERVOIR):
     return [
-        LoadIntensityAnalyzer(peak_interval=10.0, reservoir_size=reservoir_size),
-        SpatialAnalyzer(block_size=BS),
         TemporalAnalyzer(block_size=BS, reservoir_size=reservoir_size),
         StreamingProfileAnalyzer(block_size=BS, reservoir_size=reservoir_size),
     ]
@@ -138,28 +155,6 @@ class TestRowPredicate:
         assert not RowPredicate(op="read").matches_op_mix(10, 10)
         assert RowPredicate(op="read").matches_op_mix(10, 3)
 
-    def test_intersect_op_conflict_selects_nothing(self):
-        merged = intersect_predicates(
-            RowPredicate(op="read"), RowPredicate(op="write")
-        )
-        assert merged.volumes == ()
-        assert not merged.allows_volume("v")
-
-    def test_intersect_tightens_window(self):
-        merged = intersect_predicates(
-            RowPredicate(since=0.0, until=50.0, volumes=("a", "b")),
-            RowPredicate(since=10.0, volumes=("b", "c")),
-        )
-        assert merged.since == 10.0 and merged.until == 50.0
-        assert merged.volumes == ("b",)
-
-    def test_union_widens_and_bails_on_none(self):
-        union = union_predicates(
-            [RowPredicate(since=5.0, until=10.0), RowPredicate(since=0.0, until=20.0)]
-        )
-        assert union.since == 0.0 and union.until == 20.0
-        assert union_predicates([RowPredicate(since=5.0), None]) is None
-
 
 class TestQueryPlan:
     def test_columns_canonicalized(self):
@@ -177,25 +172,27 @@ class TestQueryPlan:
         assert set(plan.load_columns()) == {"timestamps", "offsets", "is_write"}
 
     def test_plan_for_unions_declarations(self):
-        plan = plan_for([LoadIntensityAnalyzer(), SpatialAnalyzer()], None)
+        plan = plan_for([NarrowCounts()], None)
+        assert plan.columns == ("timestamps", "sizes", "is_write")
+        plan = plan_for([NarrowCounts(), TemporalAnalyzer()], None)
         assert set(plan.columns) == {"timestamps", "offsets", "sizes", "is_write"}
 
     def test_plan_for_undeclared_analyzer_disables_pruning(self):
         class Opaque:
             name = "opaque"
 
-        plan = plan_for([LoadIntensityAnalyzer(), Opaque()], None)
+        plan = plan_for([NarrowCounts(), Opaque()], None)
         assert plan is None or plan.columns is None
 
     def test_plan_for_pushes_down_shared_predicate(self):
         pred = RowPredicate(since=3.0)
-        plan = plan_for([LoadIntensityAnalyzer()], pred)
+        plan = plan_for([StreamingProfileAnalyzer()], pred)
         assert plan.predicate == pred
+        assert plan_for([StreamingProfileAnalyzer()], RowPredicate()).predicate is None
 
     def test_accessors_validate(self):
-        analyzer = LoadIntensityAnalyzer()
-        assert "timestamps" in analyzer_columns(analyzer)
-        assert analyzer_predicate(analyzer) is None
+        assert "offsets" not in analyzer_columns(NarrowCounts())
+        assert "offsets" in analyzer_columns(TemporalAnalyzer())
 
         class Bad:
             name = "bad"
@@ -243,10 +240,12 @@ class TestLazyChunk:
         assert len(calls) == 1
 
     def test_apply_predicate_filters_rows(self):
-        kept = apply_predicate(self._chunk(), RowPredicate(since=2.0))
-        assert kept.timestamps.tolist() == [2.0, 3.0]
-        assert apply_predicate(self._chunk(), RowPredicate(until=0.0)) is None
-        assert apply_predicate(self._chunk(), RowPredicate(volumes=("w",))) is None
+        def apply(predicate):
+            return apply_plan(self._chunk(), QueryPlan(predicate=predicate))
+
+        assert apply(RowPredicate(since=2.0)).timestamps.tolist() == [2.0, 3.0]
+        assert apply(RowPredicate(until=0.0)) is None
+        assert apply(RowPredicate(volumes=("w",))) is None
 
     def test_apply_plan_counts_and_prunes(self):
         plan = QueryPlan(columns=("timestamps",), predicate=RowPredicate(since=2.0))
@@ -358,41 +357,12 @@ class TestPrunedEqualsFiltered:
         assert skipped > 0
 
 
-class TestAnalyzerOwnPredicate:
-    def test_residual_applies_per_analyzer(self, tiny_ali):
-        # One analyzer asks for writes only; its neighbor sees every row.
-        write_only = LoadIntensityAnalyzer(
-            peak_interval=10.0, reservoir_size=EXACT_RESERVOIR,
-            row_predicate=RowPredicate(op="write"),
-        )
-        neighbor = StreamingProfileAnalyzer(
-            block_size=BS, reservoir_size=EXACT_RESERVOIR
-        )
-        got = run_dataset(tiny_ali, [write_only, neighbor])
-
-        ref_writes = run_dataset(
-            _filtered(tiny_ali, RowPredicate(op="write")),
-            [LoadIntensityAnalyzer(peak_interval=10.0, reservoir_size=EXACT_RESERVOIR)],
-        )
-        ref_all = run_dataset(
-            tiny_ali,
-            [StreamingProfileAnalyzer(block_size=BS, reservoir_size=EXACT_RESERVOIR)],
-        )
-        want = {
-            vid: dataclasses.asdict(r)
-            for vid, r in ref_writes.analyzer("load_intensity").items()
-        }
-        assert {
-            vid: dataclasses.asdict(r)
-            for vid, r in got.analyzer("load_intensity").items()
-        } == want
-        assert {
-            vid: dataclasses.asdict(r)
-            for vid, r in got.analyzer("streaming_profile").items()
-        } == {
-            vid: dataclasses.asdict(r)
-            for vid, r in ref_all.analyzer("streaming_profile").items()
-        }
+class TestAnalyzerDeclarations:
+    def test_narrow_fold_runs_pruned(self, ali_dir, warm_store, parsed):
+        ref = run_dataset(parsed, [NarrowCounts()])
+        for store in (None, warm_store):
+            got = run(ali_dir, [NarrowCounts()], chunk_size=257, store=store)
+            assert got.per_volume == ref.per_volume
 
     def test_undeclared_column_access_raises(self, tiny_ali):
         class TimestampsOnly:
@@ -422,8 +392,6 @@ class TestEmptyFinalize:
     @pytest.mark.parametrize(
         "analyzer",
         [
-            LoadIntensityAnalyzer(),
-            SpatialAnalyzer(block_size=BS),
             TemporalAnalyzer(block_size=BS),
             StreamingProfileAnalyzer(block_size=BS),
         ],
@@ -441,7 +409,8 @@ class TestEmptyFinalize:
         got = run_dataset(
             tiny_ali, _analyzers(), predicate=RowPredicate(until=-1.0)
         )
-        assert got.per_volume["load_intensity"] == {}
+        assert got.per_volume["streaming_profile"] == {}
+        assert got.per_volume["temporal"] == {}
 
 
 class TestCliFilterFlags:

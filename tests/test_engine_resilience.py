@@ -11,7 +11,7 @@ import pytest
 
 from repro import faults
 from repro.engine import parallel_map, resilient_map, run, run_dataset
-from repro.engine.analyzers import LoadIntensityAnalyzer, StreamingProfileAnalyzer
+from repro.engine.analyzers import StreamingProfileAnalyzer, TemporalAnalyzer
 from repro.faults import FaultPlan, InjectedFault
 from repro.resilience import RetryPolicy, RunErrors, UnitTimeoutError
 from repro.trace import TraceFormatError
@@ -71,18 +71,18 @@ def _double(x):
 class TestErrorPolicies:
     def test_strict_raises(self, dirty_dir):
         with pytest.raises(TraceFormatError, match="line 2"):
-            run(dirty_dir, [LoadIntensityAnalyzer()])
+            run(dirty_dir, [StreamingProfileAnalyzer()])
 
     def test_skip_drops_and_counts(self, dirty_dir):
-        result = run(dirty_dir, [LoadIntensityAnalyzer()], on_error="skip")
+        result = run(dirty_dir, [StreamingProfileAnalyzer()], on_error="skip")
         assert result.volume_ids() == ["vol0", "vol1", "vol2"]
         assert result.errors.skipped_lines == 2
         assert result.errors.quarantine_sample == []
         # The three good vol1 rows survived.
-        assert result.analyzer("load_intensity")["vol1"].n_requests == 3
+        assert result.analyzer("streaming_profile")["vol1"].n_requests == 3
 
     def test_quarantine_counts_and_samples(self, dirty_dir):
-        result = run(dirty_dir, [LoadIntensityAnalyzer()], on_error="quarantine")
+        result = run(dirty_dir, [StreamingProfileAnalyzer()], on_error="quarantine")
         errors = result.errors
         assert errors.quarantined_lines == 2
         assert [r.lineno for r in errors.quarantine_sample] == [2, 4]
@@ -101,11 +101,11 @@ class TestErrorPolicies:
 
     def test_unknown_policy_rejected(self, dirty_dir):
         with pytest.raises(ValueError, match="unknown error policy"):
-            run(dirty_dir, [LoadIntensityAnalyzer()], on_error="yolo")
+            run(dirty_dir, [StreamingProfileAnalyzer()], on_error="yolo")
 
 
 def _analyzers():
-    return [LoadIntensityAnalyzer(), StreamingProfileAnalyzer()]
+    return [TemporalAnalyzer(), StreamingProfileAnalyzer()]
 
 
 class TestInjectedCorruption:
@@ -134,7 +134,7 @@ class TestRetries:
     def test_crash_recovered_by_retry(self, dirty_dir):
         faults.activate(FaultPlan(crash_units=("f0.csv",), crash_attempts=1))
         result = run(
-            dirty_dir, [LoadIntensityAnalyzer()], on_error="quarantine", retry=NO_BACKOFF
+            dirty_dir, [StreamingProfileAnalyzer()], on_error="quarantine", retry=NO_BACKOFF
         )
         assert result.volume_ids() == ["vol0", "vol1", "vol2"]
         assert result.errors.retries == 1
@@ -142,7 +142,7 @@ class TestRetries:
 
     def test_crash_without_retry_drops_unit(self, dirty_dir):
         faults.activate(FaultPlan(crash_units=("f0.csv",), crash_attempts=10))
-        result = run(dirty_dir, [LoadIntensityAnalyzer()], on_error="quarantine")
+        result = run(dirty_dir, [StreamingProfileAnalyzer()], on_error="quarantine")
         assert result.volume_ids() == ["vol1", "vol2"]
         (failure,) = result.errors.failed_units
         assert failure.unit == "f0.csv"
@@ -153,7 +153,7 @@ class TestRetries:
     def test_crash_exhausting_budget_still_fails(self, dirty_dir):
         faults.activate(FaultPlan(crash_units=("f0.csv",), crash_attempts=10))
         result = run(
-            dirty_dir, [LoadIntensityAnalyzer()], on_error="quarantine", retry=NO_BACKOFF
+            dirty_dir, [StreamingProfileAnalyzer()], on_error="quarantine", retry=NO_BACKOFF
         )
         (failure,) = result.errors.failed_units
         assert failure.attempts == NO_BACKOFF.max_attempts
@@ -162,7 +162,7 @@ class TestRetries:
     def test_strict_raises_after_budget(self, dirty_dir):
         faults.activate(FaultPlan(crash_units=("f2.csv",), crash_attempts=10))
         with pytest.raises(InjectedFault):
-            run([dirty_dir + "/f2.csv"], [LoadIntensityAnalyzer()], retry=NO_BACKOFF)
+            run([dirty_dir + "/f2.csv"], [StreamingProfileAnalyzer()], retry=NO_BACKOFF)
 
     def test_pooled_crash_matches_sequential(self, dirty_dir):
         faults.activate(FaultPlan(crash_units=("f0.csv",), crash_attempts=1))
@@ -261,7 +261,7 @@ class TestUnitTimeout:
 class TestRunDatasetResilience:
     def test_failed_volume_dropped_not_fatal(self, simple_dataset):
         faults.activate(FaultPlan(crash_units=("v0",), crash_attempts=10))
-        result = run_dataset(simple_dataset, [LoadIntensityAnalyzer()], on_error="skip")
+        result = run_dataset(simple_dataset, [StreamingProfileAnalyzer()], on_error="skip")
         assert result.volume_ids() == ["v1"]
         (failure,) = result.errors.failed_units
         assert failure.unit == "v0"
@@ -269,4 +269,4 @@ class TestRunDatasetResilience:
     def test_strict_dataset_crash_raises(self, simple_dataset):
         faults.activate(FaultPlan(crash_units=("v0",), crash_attempts=10))
         with pytest.raises(InjectedFault):
-            run_dataset(simple_dataset, [LoadIntensityAnalyzer()])
+            run_dataset(simple_dataset, [StreamingProfileAnalyzer()])

@@ -5,8 +5,6 @@ import dataclasses
 import pytest
 
 from repro.engine import (
-    LoadIntensityAnalyzer,
-    SpatialAnalyzer,
     StreamingProfileAnalyzer,
     TemporalAnalyzer,
     parallel_map,
@@ -23,12 +21,7 @@ def _square(x, add=0):
 
 
 def _all_analyzers():
-    return [
-        LoadIntensityAnalyzer(peak_interval=5.0),
-        SpatialAnalyzer(),
-        TemporalAnalyzer(),
-        StreamingProfileAnalyzer(),
-    ]
+    return [TemporalAnalyzer(), StreamingProfileAnalyzer()]
 
 
 def _as_comparable(result):
@@ -73,9 +66,7 @@ class TestParallelMap:
 class TestRunDataset:
     def test_all_analyzers_present(self, two_volume_dataset):
         result = run_dataset(two_volume_dataset, _all_analyzers())
-        assert set(result.per_volume) == {
-            "load_intensity", "spatial", "temporal", "streaming_profile",
-        }
+        assert set(result.per_volume) == {"temporal", "streaming_profile"}
         assert result.volume_ids() == ["v0", "v1"]
         assert result.n_volumes == 2
 
@@ -83,17 +74,19 @@ class TestRunDataset:
         result = run_dataset(two_volume_dataset, _all_analyzers())
         per_analyzer = result.volume("v0")
         assert set(per_analyzer) == set(result.per_volume)
-        assert per_analyzer["load_intensity"].n_requests == 6
+        assert per_analyzer["streaming_profile"].n_requests == 6
 
     def test_skips_empty_volumes(self):
         dataset = TraceDataset("one", {"v0": make_trace("v0")})
         dataset.add(make_trace("empty", timestamps=[], offsets=[], sizes=[], is_write=[]))
-        result = run_dataset(dataset, [LoadIntensityAnalyzer()])
+        result = run_dataset(dataset, [StreamingProfileAnalyzer()])
         assert result.volume_ids() == ["v0"]
 
     def test_duplicate_analyzer_names_rejected(self, two_volume_dataset):
         with pytest.raises(ValueError, match="unique"):
-            run_dataset(two_volume_dataset, [LoadIntensityAnalyzer(), LoadIntensityAnalyzer()])
+            run_dataset(
+                two_volume_dataset, [StreamingProfileAnalyzer(), StreamingProfileAnalyzer()]
+            )
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 3, 1000])
     def test_chunk_size_invariant(self, two_volume_dataset, chunk_size):

@@ -26,9 +26,8 @@ import pytest
 from repro import faults
 from repro.cli import main
 from repro.engine import (
-    LoadIntensityAnalyzer,
-    SpatialAnalyzer,
     StreamingProfileAnalyzer,
+    TemporalAnalyzer,
     WorkUnit,
     plan_units,
     read_dataset_dir_chunked,
@@ -136,17 +135,31 @@ class TestSplitIdentity:
             assert fa.read() == fb.read()
 
     def test_exact_analyzers_split_invariant_run_files(self, skew_dir):
-        """Exact folds (no capacity-bounded sketches) are split-invariant."""
+        """Exact results (counters, register-max sketches) are split-invariant."""
         files = sorted(
             os.path.join(skew_dir, f) for f in os.listdir(skew_dir)
         )
-        mk = lambda: [LoadIntensityAnalyzer(), SpatialAnalyzer()]
+
+        def exact(result):
+            profiles = {
+                vid: (p.n_reads, p.n_writes, p.read_bytes, p.write_bytes,
+                      p.start_time, p.end_time, p.wss_total_bytes,
+                      p.wss_read_bytes, p.wss_write_bytes)
+                for vid, p in result.analyzer("streaming_profile").items()
+            }
+            temporal = {
+                vid: (t.counts, t.update_count)
+                for vid, t in result.analyzer("temporal").items()
+            }
+            return repr((profiles, temporal))
+
+        mk = lambda: [TemporalAnalyzer(), StreamingProfileAnalyzer()]
         base = run_files(files, mk(), fmt="alicloud", workers=1)
         for workers in (1, 4):
             got = run_files(
                 files, mk(), fmt="alicloud", workers=workers, split_rows=SPLIT_ROWS
             )
-            assert repr(got.per_volume) == repr(base.per_volume)
+            assert exact(got) == exact(base)
 
     def test_sketch_analyzers_worker_invariant_at_fixed_split(self, skew_dir):
         """Reservoir-bearing folds: bit-identical at any worker count and
@@ -174,7 +187,7 @@ class TestSchedulingWins:
         try:
             with collecting() as reg:
                 run_files(
-                    files, [LoadIntensityAnalyzer()], fmt="alicloud",
+                    files, [StreamingProfileAnalyzer()], fmt="alicloud",
                     workers=workers, split_rows=split_rows,
                 )
         finally:

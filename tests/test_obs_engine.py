@@ -11,9 +11,8 @@ import pytest
 
 from repro.cli import main
 from repro.engine import (
-    LoadIntensityAnalyzer,
-    SpatialAnalyzer,
     StreamingProfileAnalyzer,
+    TemporalAnalyzer,
     read_dataset_dir_chunked,
     run,
 )
@@ -31,8 +30,7 @@ def fleet_dir(tmp_path_factory, tiny_ali):
 class TestWorkerDeterminism:
     def test_engine_counters_match_across_worker_counts(self, fleet_dir, tiny_ali):
         analyzers = lambda: [  # noqa: E731 — fresh instances per run
-            LoadIntensityAnalyzer(),
-            SpatialAnalyzer(),
+            TemporalAnalyzer(),
             StreamingProfileAnalyzer(),
         ]
         with collecting() as r1:
@@ -49,7 +47,7 @@ class TestWorkerDeterminism:
 
     def test_unit_timing_observed_per_file(self, fleet_dir, tiny_ali):
         with collecting() as reg:
-            run(fleet_dir, [LoadIntensityAnalyzer()], chunk_size=256, workers=4)
+            run(fleet_dir, [StreamingProfileAnalyzer()], chunk_size=256, workers=4)
         snap = reg.snapshot()
         # One trace file per volume; each unit contributes one timing.
         assert snap["histograms"]["engine.unit_seconds"]["count"] == tiny_ali.n_volumes
@@ -67,7 +65,7 @@ class TestWorkerDeterminism:
         calls = []
         run(
             fleet_dir,
-            [LoadIntensityAnalyzer()],
+            [StreamingProfileAnalyzer()],
             workers=1,
             progress=lambda done, total: calls.append((done, total)),
         )

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from repro.cli import main
-from repro.engine import LoadIntensityAnalyzer, run
+from repro.engine import StreamingProfileAnalyzer, run
 from repro.obs import timeline
 from repro.trace import write_dataset_dir
 
@@ -166,7 +166,7 @@ class TestChromeTrace:
 class TestEngineIntegration:
     def _unit_events(self, fleet_dir, workers):
         with timeline.recording(), timeline.collecting() as buf:
-            run(fleet_dir, [LoadIntensityAnalyzer()], workers=workers)
+            run(fleet_dir, [StreamingProfileAnalyzer()], workers=workers)
         return [e for e in buf.events if e[0] == "unit"]
 
     def test_one_unit_event_per_file_sequential(self, fleet_dir, tiny_ali):
@@ -192,9 +192,9 @@ class TestEngineIntegration:
         assert os.getpid() not in pids  # units ran in the pool, not the parent
 
     def test_results_unaffected_by_recording(self, fleet_dir):
-        baseline = run(fleet_dir, [LoadIntensityAnalyzer()], workers=1)
+        baseline = run(fleet_dir, [StreamingProfileAnalyzer()], workers=1)
         with timeline.recording(), timeline.collecting():
-            recorded = run(fleet_dir, [LoadIntensityAnalyzer()], workers=1)
+            recorded = run(fleet_dir, [StreamingProfileAnalyzer()], workers=1)
         assert recorded.per_volume == baseline.per_volume
 
 

@@ -59,8 +59,8 @@ STATS_ALL = [
     "EmpiricalCDF", "BoxplotStats", "PAPER_PERCENTILES", "percentile_table",
     "percentile_groups", "Histogram", "linear_histogram", "log_histogram",
     "duration_group_fractions", "bucket_counts", "bucket_edges",
-    "interval_activity", "max_interval_count", "StreamingMoments",
-    "StreamingMinMax", "ReservoirSampler", "CANDIDATES", "DistributionFit",
+    "interval_activity", "max_interval_count", "ReservoirSampler",
+    "CANDIDATES", "DistributionFit",
     "fit_distributions", "best_fit", "HyperLogLog",
 ]
 

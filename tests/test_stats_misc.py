@@ -2,13 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.stats import (
     ReservoirSampler,
-    StreamingMinMax,
-    StreamingMoments,
     bucket_counts,
     bucket_edges,
     duration_group_fractions,
@@ -111,38 +107,6 @@ class TestTimeseries:
 
 
 class TestStreaming:
-    def test_moments_match_numpy(self):
-        data = np.random.default_rng(1).normal(5, 2, 1000)
-        m = StreamingMoments()
-        m.add_many(data)
-        assert m.mean == pytest.approx(data.mean())
-        assert m.variance == pytest.approx(data.var())
-        assert m.std == pytest.approx(data.std())
-        assert m.sample_variance == pytest.approx(data.var(ddof=1))
-
-    def test_moments_merge(self):
-        data = np.random.default_rng(2).normal(0, 1, 500)
-        a, b = StreamingMoments(), StreamingMoments()
-        a.add_many(data[:200])
-        b.add_many(data[200:])
-        merged = a.merge(b)
-        assert merged.n == 500
-        assert merged.mean == pytest.approx(data.mean())
-        assert merged.variance == pytest.approx(data.var())
-
-    def test_moments_empty_raises(self):
-        with pytest.raises(ValueError):
-            StreamingMoments().mean
-
-    def test_minmax(self):
-        mm = StreamingMinMax()
-        mm.add_many([3.0, -1.0, 7.0])
-        assert mm.min == -1.0 and mm.max == 7.0
-
-    def test_minmax_empty_raises(self):
-        with pytest.raises(ValueError):
-            StreamingMinMax().min
-
     def test_reservoir_exact_when_under_capacity(self, rng):
         r = ReservoirSampler(100, rng)
         r.add_many(range(50))
@@ -233,12 +197,3 @@ class TestStreaming:
     def test_reservoir_merge_rejects_capacity_mismatch(self, rng):
         with pytest.raises(ValueError, match="capacity"):
             ReservoirSampler(10, rng).merge(ReservoirSampler(20, rng))
-
-    @given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=500))
-    @settings(max_examples=50, deadline=None)
-    def test_property_moments_welford_stable(self, data):
-        m = StreamingMoments()
-        m.add_many(data)
-        arr = np.asarray(data)
-        assert m.mean == pytest.approx(arr.mean(), rel=1e-6, abs=1e-6)
-        assert m.variance >= -1e-9

@@ -265,6 +265,31 @@ class TestQuarantineAndSelfHeal:
 
 
 class TestIngestCrashDrill:
+    def test_ingest_lists_store_dir_once(self, tmp_path, monkeypatch):
+        # The stale-temp sweep runs once per store directory, not per entry.
+        source = tmp_path / "many"
+        source.mkdir()
+        for i in range(20):
+            (source / f"f{i:02d}.csv").write_text(f"v{i},R,0,4096,1000000\n")
+        store_dir = str(tmp_path / "store")
+        finished = subprocess.Popen([sys.executable, "-c", "pass"])
+        finished.wait()
+        dead = os.path.join(store_dir, f"gone.csv-0123456789ab.tmp-{finished.pid}")
+        os.makedirs(dead)
+        listed = []
+        real_listdir = os.listdir
+
+        def counting_listdir(path="."):
+            if os.path.abspath(path) == store_dir:
+                listed.append(path)
+            return real_listdir(path)
+
+        monkeypatch.setattr(os, "listdir", counting_listdir)
+        reports = ingest_dir(str(source), fmt="alicloud", store_dir=store_dir, workers=1)
+        assert len(reports) == 20 and all(r.built for r in reports)
+        assert len(listed) == 1
+        assert not os.path.exists(dead)  # the dead-pid rule still sweeps
+
     def test_raise_kind_leaves_no_partial_entry(self, ali_dir, tmp_path):
         store_dir = str(tmp_path / "store")
         victim = sorted(os.listdir(ali_dir))[0]

@@ -217,11 +217,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "giant file cannot serialize the fan-out (default: 0, off)",
     )
     parser.add_argument(
-        "--backend", choices=["auto", "serial", "process"], default="auto",
-        help="execution backend: auto picks the process pool exactly when "
-        "--workers > 1 and >1 unit is pending (default: auto)",
-    )
-    parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="write a JSON metrics report of this run (enables span tracing)",
     )
@@ -563,7 +558,6 @@ def _engine_kwargs(args: argparse.Namespace, build: bool = True) -> Dict[str, An
         "retry": RetryPolicy(max_retries=max_retries) if max_retries > 0 else None,
         "unit_timeout": getattr(args, "unit_timeout", None),
         "split_rows": getattr(args, "split_rows", 0),
-        "backend": getattr(args, "backend", None),
     }
 
 
@@ -658,7 +652,6 @@ def _analyze(args: argparse.Namespace) -> int:
         "progress": _progress_callback(args, "profile"),
         "retry": engine["retry"],
         "unit_timeout": engine["unit_timeout"],
-        "backend": engine["backend"],
         "priorities": volume_costs,
         "block_size": args.block_size,
     }
@@ -772,15 +765,13 @@ def _experiments(args: argparse.Namespace) -> int:
 
 #: args that never change a run's *results*, so they must not change the
 #: checkpoint digest — otherwise resuming with ``--workers 4`` (or after
-#: turning a fault plan off) would be refused for no reason.  ``backend``
-#: qualifies (execution strategy only); ``split_rows`` does NOT — it
-#: changes the unit list (and the merge tree of capacity-bounded
-#: sketches), so it stays in the digest and a resume must use the same
-#: value.
+#: turning a fault plan off) would be refused for no reason.
+#: ``split_rows`` does NOT qualify — it changes the unit list (and the
+#: merge tree of capacity-bounded sketches), so it stays in the digest
+#: and a resume must use the same value.
 _CHECKPOINT_IRRELEVANT_ARGS = frozenset(
     {
         "workers",
-        "backend",
         "checkpoint",
         "resume",
         "checkpoint_dir",

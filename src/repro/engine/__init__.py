@@ -18,12 +18,12 @@ One shared execution substrate for every trace analysis:
 * :mod:`~repro.engine.units` — cost-aware work units: big files split
   into row/byte range sub-units so one straggler file cannot serialize a
   parallel run; every unit carries an LPT dispatch cost estimate.
-* :mod:`~repro.engine.backends` — pluggable execution
-  (:class:`ExecutionBackend`): a serial in-process loop or the default
-  process pool, selected per run (``backend="serial"|"process"|"auto"``).
+* :mod:`~repro.engine.backends` — the two ways a fan-out executes: an
+  in-process loop, or a process pool when ``workers > 1`` and more than
+  one unit is pending.
 * :mod:`~repro.engine.runner` — the driver: many analyzers in one pass
-  per volume, volumes/files/sub-units fanned out across a backend with
-  deterministic merge order.
+  per volume, volumes/files/sub-units fanned out across ``workers``
+  processes with deterministic merge order.
 
 Quickstart::
 
@@ -39,13 +39,6 @@ from .._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from .analyzer import Analyzer, reservoir_percentiles, volume_seed
-    from .backends import (
-        BACKENDS,
-        ExecutionBackend,
-        ProcessBackend,
-        SerialBackend,
-        resolve_backend,
-    )
     from .analyzers import (
         DEFAULT_RESERVOIR_SIZE,
         StreamingProfileAnalyzer,
@@ -84,11 +77,6 @@ __all__ = [
     "Analyzer",
     "reservoir_percentiles",
     "volume_seed",
-    "BACKENDS",
-    "ExecutionBackend",
-    "ProcessBackend",
-    "SerialBackend",
-    "resolve_backend",
     "SplitServeError",
     "WorkUnit",
     "plan_units",
@@ -121,10 +109,6 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".analyzer": ("Analyzer", "reservoir_percentiles", "volume_seed"),
-    ".backends": (
-        "BACKENDS", "ExecutionBackend", "ProcessBackend", "SerialBackend",
-        "resolve_backend",
-    ),
     ".analyzers": (
         "DEFAULT_RESERVOIR_SIZE", "StreamingProfileAnalyzer", "StreamingVolumeProfile",
         "TemporalAnalyzer", "TemporalResult",

@@ -106,8 +106,10 @@ class _BlockTable:
     def link(self, later: "_BlockTable"):
         """Boundary pairs for blocks present on both sides.
 
-        Returns ``(dt, prev_w, cur_w)`` of the transition formed by this
-        table's last event and ``later``'s first event per shared block.
+        Returns ``(dt, prev_w, cur_w, shared)``: the transition formed by
+        this table's last event and ``later``'s first event per shared
+        block, and the mask of ``later.blocks`` that are shared (the
+        pairs follow ``later``'s block order).
         """
         pos = np.searchsorted(self.blocks, later.blocks)
         pos_c = np.minimum(pos, len(self.blocks) - 1) if len(self.blocks) else pos
@@ -118,7 +120,7 @@ class _BlockTable:
         )
         shared_prev = pos_c[shared_later]
         dt = later.first_ts[shared_later] - self.last_ts[shared_prev]
-        return dt, self.last_w[shared_prev], later.first_w[shared_later]
+        return dt, self.last_w[shared_prev], later.first_w[shared_later], shared_later
 
     def combined(self, later: "_BlockTable") -> "_BlockTable":
         """Union table: first event from the earlier side when present,
@@ -140,6 +142,28 @@ class _BlockTable:
         last_ts[pos_l] = later.last_ts
         last_w[pos_l] = later.last_w
         return _BlockTable(blocks, first_ts, first_w, last_ts, last_w)
+
+
+def _chunk_pairs(table: _BlockTable, b, t, w, pos):
+    """Every access's pair with the previous access to its block.
+
+    ``b``/``t``/``w`` are one chunk's accesses sorted by block (stable, so
+    each block's accesses keep stream order) and ``pos`` their stream
+    positions.  Pairs within the chunk and pairs with ``table`` (everything
+    consumed before it) come back together as ``(dt, prev_w, cur_w)``,
+    ordered by the stream position of the later access, plus the chunk's
+    own table.  Fed through the batching-invariant ``add_array``, the
+    reservoirs then see the same value sequence at any chunk size.
+    """
+    same = b[1:] == b[:-1]
+    chunk_table = _BlockTable.from_sorted_events(b, t, w)
+    dt_link, prev_link, cur_link, shared = table.link(chunk_table)
+    first = np.flatnonzero(np.concatenate(([True], ~same)))
+    order = np.argsort(np.concatenate((pos[1:][same], pos[first][shared])))
+    dt = np.concatenate(((t[1:] - t[:-1])[same], dt_link))[order]
+    prev_w = np.concatenate((w[:-1][same], prev_link))[order]
+    cur_w = np.concatenate((w[1:][same], cur_link))[order]
+    return dt, prev_w, cur_w, chunk_table
 
 
 class _TemporalState:
@@ -215,22 +239,16 @@ class TemporalAnalyzer:
         order = np.argsort(block_id, kind="stable")
         b, t, w = block_id[order], ts[order], is_write[order]
 
-        # Within-chunk same-block transitions.
-        same = b[1:] == b[:-1]
-        self._accumulate(state, (t[1:] - t[:-1])[same], w[:-1][same], w[1:][same])
-        chunk_table = _BlockTable.from_sorted_events(b, t, w)
-
-        # Boundary transitions against everything consumed so far.
-        self._accumulate(state, *state.table.link(chunk_table))
+        # Same-block transitions, within the chunk and against everything
+        # consumed so far.
+        dt, prev_w, cur_w, chunk_table = _chunk_pairs(state.table, b, t, w, order)
+        self._accumulate(state, dt, prev_w, cur_w)
         state.table = state.table.combined(chunk_table)
 
         # Update intervals: consecutive writes to a block (reads between OK).
-        wb, wt = b[w], t[w]
-        if len(wb):
-            wsame = wb[1:] == wb[:-1]
-            self._accumulate_updates(state, (wt[1:] - wt[:-1])[wsame])
-            wchunk = _BlockTable.from_sorted_events(wb, wt, np.ones(len(wb), dtype=bool))
-            dtw, _, _ = state.wtable.link(wchunk)
+        if w.any():
+            ones = np.ones(int(np.count_nonzero(w)), dtype=bool)
+            dtw, _, _, wchunk = _chunk_pairs(state.wtable, b[w], t[w], ones, order[w])
             self._accumulate_updates(state, dtw)
             state.wtable = state.wtable.combined(wchunk)
         return state
@@ -244,8 +262,8 @@ class TemporalAnalyzer:
         merged.update_count = earlier.update_count + later.update_count
         merged.update_res = earlier.update_res.merge(later.update_res)
         # Boundary pairs between the two spans.
-        self._accumulate(merged, *earlier.table.link(later.table))
-        dtw, _, _ = earlier.wtable.link(later.wtable)
+        self._accumulate(merged, *earlier.table.link(later.table)[:3])
+        dtw, _, _, _ = earlier.wtable.link(later.wtable)
         self._accumulate_updates(merged, dtw)
         merged.table = earlier.table.combined(later.table)
         merged.wtable = earlier.wtable.combined(later.wtable)

@@ -70,6 +70,7 @@ from ..trace.record import (
     _MICROSECONDS_PER_SECOND,
     IORequest,
     OpType,
+    _request_blocks,
     _ticks_to_seconds,
 )
 from .plan import ALL_COLUMNS, QueryPlan, RowPredicate
@@ -247,14 +248,8 @@ class Chunk:
         cached = self._block_cache.get(block_size)
         if cached is not None:
             return cached
-        first = self.offsets // block_size
-        last = (self.offsets + self.sizes - 1) // block_size
-        counts = last - first + 1
-        total = int(counts.sum())
+        counts, block_id = _request_blocks(self.offsets, self.sizes, block_size)
         req_index = np.repeat(np.arange(len(self), dtype=np.int64), counts)
-        starts = np.cumsum(counts) - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        block_id = np.repeat(first, counts) + within
         self._block_cache[block_size] = (req_index, block_id)
         return req_index, block_id
 
@@ -848,7 +843,6 @@ def read_dataset_dir_chunked(
     store: Optional["StoreConfig"] = None,
     predicate: Optional[RowPredicate] = None,
     split_rows: int = 0,
-    backend: Optional[Any] = None,
 ) -> TraceDataset:
     """Read every ``.csv``/``.csv.gz`` trace file in a directory as one
     :class:`~repro.trace.dataset.TraceDataset`: the one text-to-dataset path.
@@ -866,7 +860,7 @@ def read_dataset_dir_chunked(
     engine metrics land in the caller's current registry at any worker
     count, and ``progress(done, total)`` fires per completed unit.
 
-    Scheduling, ``split_rows``, ``backend`` and fault tolerance are the
+    Scheduling, ``split_rows`` and fault tolerance are the
     driver's: ``on_error`` governs malformed lines and (non-strict)
     permanently failed files, ``retry`` / ``unit_timeout`` govern unit
     recovery, and ``errors`` (when given) collects the run's fault ledger.
@@ -888,7 +882,7 @@ def read_dataset_dir_chunked(
         errors if errors is not None else RunErrors(policy=on_error),
         fmt=fmt, chunk_size=chunk_size, workers=workers, progress=progress,
         on_error=on_error, retry=retry, unit_timeout=unit_timeout, store=store,
-        predicate=predicate, split_rows=split_rows, backend=backend,
+        predicate=predicate, split_rows=split_rows,
     )
     volumes = merged.pop(0)
     dataset = TraceDataset(name or os.path.basename(os.path.normpath(directory)))

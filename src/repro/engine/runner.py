@@ -10,12 +10,13 @@ over a trace source in a single pass per volume:
 * **in-memory dataset** — each volume is one unit of work; its columnar
   arrays are sliced into chunks and folded the same way.
 
-With ``workers > 1`` units fan out across an execution backend
-(:mod:`repro.engine.backends` — a :class:`ProcessBackend` pool by
-default); partial per-volume states come back and are merged **in
-canonical unit order** (never completion or dispatch order), so results
-are bit-identical across worker counts.  ``workers=1`` falls back to the
-:class:`SerialBackend`'s plain loop with no pool or pickling overhead.
+With ``workers > 1`` and more than one unit pending, units fan out
+across a process pool (:func:`repro.engine.backends.run_pool`); partial
+per-volume states come back and are merged **in canonical unit order**
+(never completion or dispatch order), so results are bit-identical
+across worker counts.  Otherwise units run in the caller's process
+(:func:`repro.engine.backends.run_inprocess`) with no pool or pickling
+overhead.
 
 Scheduling: when units carry cost estimates (``priorities``), pooled
 units are *dispatched* longest-processing-time-first so a straggler unit
@@ -94,7 +95,7 @@ from ..resilience import (
 )
 from ..trace.dataset import TraceDataset, VolumeTrace
 from .analyzer import Analyzer
-from .backends import BackendSpec, MapState, UnitOut, resolve_backend
+from .backends import MapState, UnitOut, run_inprocess, run_pool
 from .chunks import (
     DEFAULT_CHUNK_SIZE,
     Chunk,
@@ -143,7 +144,6 @@ def _map_core(
     errors: RunErrors,
     kwargs: Dict[str, Any],
     checkpoint: Optional[Checkpointer] = None,
-    backend: BackendSpec = None,
     priorities: Optional[Sequence[float]] = None,
 ) -> List[Optional[Any]]:
     """Shared execution core of :func:`parallel_map` / :func:`resilient_map`.
@@ -155,10 +155,12 @@ def _map_core(
     units ran live, and resumed snapshots merge exactly like shipped-back
     worker snapshots.
 
-    With ``priorities`` set (one cost estimate per item), a parallel
-    backend *dispatches* pending units longest-processing-time-first — a
-    pure scheduling decision: ``outs`` indexing, checkpoints, progress,
-    and the merge all keep canonical item order, and serial execution
+    Pending units run on a ``workers``-wide process pool when
+    ``workers > 1`` and more than one is pending, in-process otherwise.
+    With ``priorities`` set (one cost estimate per item), the pool
+    *dispatches* pending units longest-processing-time-first — a pure
+    scheduling decision: ``outs`` indexing, checkpoints, progress, and
+    the merge all keep canonical item order, and in-process execution
     runs in canonical order outright.
     """
     bound = partial(fn, **kwargs) if kwargs else fn
@@ -208,8 +210,8 @@ def _map_core(
         capture=checkpoint is not None,
         priorities=priorities,
     )
-    be = resolve_backend(backend, workers, len(pending))
-    busy = be.execute(state)
+    pooled = workers > 1 and len(pending) > 1
+    busy = run_pool(state) if pooled else run_inprocess(state, pending)
     results: List[Optional[Any]] = []
     tl = timeline.get_timeline()
     for out in outs:
@@ -226,7 +228,7 @@ def _map_core(
             # order no matter which worker finished first.
             tl.extend(events)
         results.append(value)
-    _record_fanout(reg, busy, perf_counter() - start, be.effective_workers(state))
+    _record_fanout(reg, busy, perf_counter() - start, workers if pooled else 1)
     return results
 
 
@@ -237,20 +239,18 @@ def parallel_map(
     progress: Optional[Callable[[int, int], None]] = None,
     retry: Optional[RetryPolicy] = None,
     unit_timeout: Optional[float] = None,
-    backend: BackendSpec = None,
     priorities: Optional[Sequence[float]] = None,
     **kwargs: Any,
 ) -> List[R]:
     """Map ``fn`` over ``items``, preserving order; fail-fast on errors.
 
     ``workers <= 1`` runs sequentially in-process; otherwise items fan out
-    across an execution backend (``"process"`` pool by default — ``fn``
-    must then be picklable, i.e. module-level; see
-    :mod:`repro.engine.backends`).  ``priorities`` (one cost estimate per
-    item) dispatches pending units longest-first without affecting result
-    order.  Keyword arguments are bound with :func:`functools.partial`
-    (``progress`` / ``retry`` / ``unit_timeout`` / ``backend`` /
-    ``priorities`` are reserved names).
+    across a process pool (``fn`` must then be picklable, i.e.
+    module-level; see :mod:`repro.engine.backends`).  ``priorities`` (one
+    cost estimate per item) dispatches pending units longest-first
+    without affecting result order.  Keyword arguments are bound with
+    :func:`functools.partial` (``progress`` / ``retry`` /
+    ``unit_timeout`` / ``priorities`` are reserved names).
 
     Each unit's metrics are collected in the worker and merged into the
     caller's current registry in submission order — totals are identical
@@ -266,7 +266,7 @@ def parallel_map(
     """
     results = _map_core(
         fn, items, workers, progress, retry, unit_timeout, True, RunErrors(), kwargs,
-        backend=backend, priorities=priorities,
+        priorities=priorities,
     )
     return cast(List[R], results)
 
@@ -279,7 +279,6 @@ def resilient_map(
     retry: Optional[RetryPolicy] = None,
     unit_timeout: Optional[float] = None,
     errors: Optional[RunErrors] = None,
-    backend: BackendSpec = None,
     priorities: Optional[Sequence[float]] = None,
     **kwargs: Any,
 ) -> Tuple[List[Optional[R]], RunErrors]:
@@ -293,7 +292,7 @@ def resilient_map(
     errs = errors if errors is not None else RunErrors()
     results = _map_core(
         fn, items, workers, progress, retry, unit_timeout, False, errs, kwargs,
-        backend=backend, priorities=priorities,
+        priorities=priorities,
     )
     return cast(List[Optional[R]], results), errs
 
@@ -487,7 +486,6 @@ def _fold_units(
     predicate: Optional[RowPredicate] = None,
     checkpoint: Optional[CheckpointConfig] = None,
     split_rows: int = 0,
-    backend: BackendSpec = None,
 ) -> Tuple[_StateMap, int, Optional[Checkpointer]]:
     """The one file driver: plan units, fold each, merge in canonical order.
 
@@ -536,7 +534,6 @@ def _fold_units(
             "plan": plan,
         },
         checkpoint=checkpointer,
-        backend=backend,
         priorities=priorities,
     )
     state_parts: List[_StateMap] = []
@@ -564,7 +561,6 @@ def run_files(
     predicate: Optional[RowPredicate] = None,
     checkpoint: Optional[CheckpointConfig] = None,
     split_rows: int = 0,
-    backend: BackendSpec = None,
 ) -> EngineResult:
     """Run analyzers over trace files, one parse per file.
 
@@ -584,9 +580,6 @@ def run_files(
     (counters, totals, register-max sketches) are split-invariant;
     capacity-bounded sketches (reservoirs, top-k) are deterministic for a
     *fixed* split configuration — see DESIGN.md for the contract.
-    ``backend`` selects the execution backend (``"auto"``/None,
-    ``"serial"``, ``"process"``, or an
-    :class:`~repro.engine.backends.ExecutionBackend` instance).
 
     Fault tolerance: ``on_error`` governs malformed lines (see
     :mod:`repro.resilience`) and, when non-strict, also tolerates units
@@ -618,8 +611,7 @@ def run_files(
     merged, n_units, checkpointer = _fold_units(
         paths, analyzers, errors, fmt=fmt, chunk_size=chunk_size, workers=workers,
         progress=progress, on_error=on_error, retry=retry, unit_timeout=unit_timeout,
-        store=store, predicate=predicate, checkpoint=checkpoint,
-        split_rows=split_rows, backend=backend,
+        store=store, predicate=predicate, checkpoint=checkpoint, split_rows=split_rows,
     )
     result = _finalize(analyzers, merged, n_units, workers, chunk_size, errors)
     if checkpointer is not None and not errors.failed_units:
@@ -637,7 +629,6 @@ def run_dataset(
     retry: Optional[RetryPolicy] = None,
     unit_timeout: Optional[float] = None,
     predicate: Optional[RowPredicate] = None,
-    backend: BackendSpec = None,
 ) -> EngineResult:
     """Run analyzers over an in-memory dataset, one volume per unit.
 
@@ -665,7 +656,6 @@ def run_dataset(
         on_error == ON_ERROR_STRICT,
         errors,
         {"analyzers": list(analyzers), "chunk_size": chunk_size, "plan": plan},
-        backend=backend,
         priorities=[float(len(v)) for v in volumes],
     )
     state_parts = [states for states in partials if states is not None]
@@ -687,7 +677,6 @@ def run(
     predicate: Optional[RowPredicate] = None,
     checkpoint: Optional[CheckpointConfig] = None,
     split_rows: int = 0,
-    backend: BackendSpec = None,
 ) -> EngineResult:
     """Run analyzers over a trace directory, file list, or dataset.
 
@@ -723,21 +712,16 @@ def run(
         split_rows: split path-source files expected to exceed this many
             rows into range sub-units (``0`` disables; ignored for
             datasets, whose units are per-volume already).
-        backend: execution backend — ``None``/``"auto"`` (process pool
-            when it pays off), ``"serial"``, ``"process"``, or an
-            :class:`~repro.engine.backends.ExecutionBackend` instance.
     """
     if isinstance(source, TraceDataset):
         return run_dataset(
             source, analyzers, chunk_size=chunk_size, workers=workers, progress=progress,
             on_error=on_error, retry=retry, unit_timeout=unit_timeout, predicate=predicate,
-            backend=backend,
         )
     if isinstance(source, str):
         source = list_trace_files(source)
     return run_files(
         source, analyzers, fmt=fmt, chunk_size=chunk_size, workers=workers,
         progress=progress, on_error=on_error, retry=retry, unit_timeout=unit_timeout,
-        store=store, predicate=predicate, checkpoint=checkpoint,
-        split_rows=split_rows, backend=backend,
+        store=store, predicate=predicate, checkpoint=checkpoint, split_rows=split_rows,
     )

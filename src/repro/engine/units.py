@@ -27,11 +27,11 @@ extra sub-units created and ``engine.unit_cost_estimate`` records every
 unit's estimate.
 
 Determinism: results are merged in canonical (file, range) order no
-matter how units are dispatched, so splitting never reorders any
-per-volume row stream.  See DESIGN.md ("Execution backends &
-scheduling") for the exact contract — including the one caveat for
-capacity-bounded sketches, whose merge tree (not their input rows)
-depends on the split configuration.
+matter how units are dispatched or how many workers run them, so
+splitting never reorders any per-volume row stream.  See DESIGN.md
+("Fan-out & scheduling") for the exact contract — including the one
+caveat for capacity-bounded sketches, whose merge tree (not their input
+rows) depends on the split configuration.
 """
 
 from __future__ import annotations

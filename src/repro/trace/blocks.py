@@ -18,7 +18,7 @@ import numpy as np
 
 from ..obs import metrics
 from .dataset import VolumeTrace
-from .record import DEFAULT_BLOCK_SIZE
+from .record import DEFAULT_BLOCK_SIZE, _request_blocks
 
 __all__ = [
     "block_range",
@@ -46,16 +46,13 @@ def _expand(
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     if len(offsets):
-        # The one place a block stream is built: tests count these per command.
+        # Every block view is built here: tests count these per command.
         metrics.counter("trace.blocks.expansions").inc()
+    counts, block_id = _request_blocks(offsets, sizes, block_size)
     ends = offsets + sizes
     first = offsets // block_size
-    last = (ends - 1) // block_size
-    counts = last - first + 1
+    last = first + counts - 1
     starts = np.cumsum(counts) - counts
-    # Concatenated per-request aranges, each shifted to its first block.
-    block_id = np.arange(int(counts.sum()), dtype=np.int64)
-    block_id += np.repeat(first - starts, counts)
     # Byte attribution: only a request's first and last block can be
     # partial (a one-block request's first block is also its last).
     nbytes = np.full(len(block_id), block_size, dtype=_index_dtype(block_size + 1))

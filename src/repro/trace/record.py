@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,23 @@ def _ticks_to_seconds(ticks, ticks_per_second: int):
     if isinstance(ticks, np.ndarray):
         return ticks.astype(np.float64) / ticks_per_second
     return float(ticks) / ticks_per_second
+
+
+def _request_blocks(
+    offsets: np.ndarray, sizes: np.ndarray, block_size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(blocks per request, block_id)`` of int64 ``offsets``/``sizes``.
+
+    ``block_id`` lists every block each request touches, ordered by
+    request then ascending block: the one request→block mapping behind
+    :mod:`repro.trace.blocks` and the engine's chunk expansion.
+    """
+    first = offsets // block_size
+    counts = (offsets + sizes - 1) // block_size - first + 1
+    # Concatenated per-request aranges, each shifted to its first block.
+    block_id = np.arange(int(counts.sum()), dtype=np.int64)
+    block_id += np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return counts, block_id
 
 
 class OpType(enum.Enum):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 import os
 
@@ -32,6 +33,25 @@ class TestParser:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_argument_role_sets_name_real_arguments(self):
+        # The ledger config and the checkpoint digest both leave arguments
+        # out by name; a stale name there silently stops guarding anything.
+        from repro.cli import _CHECKPOINT_IRRELEVANT_ARGS, _NON_CONFIG_ARGS
+
+        dests = set()
+        parsers = [build_parser()]
+        while parsers:
+            parser = parsers.pop()
+            for action in parser._actions:
+                dests.add(action.dest)
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        assert not _NON_CONFIG_ARGS & _CHECKPOINT_IRRELEVANT_ARGS
+        assert _NON_CONFIG_ARGS <= dests, sorted(_NON_CONFIG_ARGS - dests)
+        assert _CHECKPOINT_IRRELEVANT_ARGS <= dests, sorted(
+            _CHECKPOINT_IRRELEVANT_ARGS - dests
+        )
 
     @pytest.mark.parametrize("command", ["analyze", "report", "stream-analyze"])
     def test_engine_flags_accepted(self, command):

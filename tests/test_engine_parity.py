@@ -198,8 +198,10 @@ class TestDeterminism:
         # batching-invariant add_array, not the scalar add (whose RNG
         # draws differ) — otherwise the inter-arrival reservoir depends
         # on the number of chunk boundaries once it is over capacity.
+        # The temporal reservoirs must also see boundary and within-chunk
+        # pairs in one stream order, not block order per chunk.
         # A size-8 reservoir forces rejection sampling on every volume.
-        analyzers = [StreamingProfileAnalyzer(block_size=BS, reservoir_size=8)]
-        small = run_dataset(tiny_ali, analyzers, chunk_size=17)
-        big = run_dataset(tiny_ali, analyzers, chunk_size=10**6)
-        assert _as_comparable(small) == _as_comparable(big)
+        big = run_dataset(tiny_ali, _analyzers(8), chunk_size=10**6)
+        for chunk_size in (3, 17, 100, 1000):
+            small = run_dataset(tiny_ali, _analyzers(8), chunk_size=chunk_size)
+            assert _as_comparable(small) == _as_comparable(big), chunk_size

@@ -1,4 +1,4 @@
-"""Straggler-free execution: unit splitting, LPT dispatch, backends.
+"""Straggler-free execution: unit splitting, LPT dispatch, fan-out.
 
 Three contracts drilled on skewed fixtures (one big file, a tail of tiny
 ones — the fleet shape the paper reports):
@@ -33,7 +33,6 @@ from repro.engine import (
     read_dataset_dir_chunked,
     run_files,
 )
-from repro.engine.backends import ProcessBackend, SerialBackend, resolve_backend
 from repro.engine.units import KIND_BYTES, KIND_ROWS, checkpoint_key, file_cost
 from repro.faults import FaultPlan, InjectedFault
 from repro.obs import collecting
@@ -162,17 +161,18 @@ class TestSplitIdentity:
             assert exact(got) == exact(base)
 
     def test_sketch_analyzers_worker_invariant_at_fixed_split(self, skew_dir):
-        """Reservoir-bearing folds: bit-identical at any worker count and
-        backend for one fixed split configuration (the DESIGN.md contract)."""
+        """Reservoir-bearing folds: bit-identical at any worker count, in
+        process or pooled, for one fixed split configuration (the DESIGN.md
+        contract)."""
         files = sorted(
             os.path.join(skew_dir, f) for f in os.listdir(skew_dir)
         )
         runs = [
             run_files(
                 files, [StreamingProfileAnalyzer()], fmt="alicloud",
-                workers=w, split_rows=SPLIT_ROWS, backend=be,
+                workers=w, split_rows=SPLIT_ROWS,
             )
-            for w, be in ((1, "serial"), (4, "process"), (4, None))
+            for w in (1, 2, 4)
         ]
         assert repr(runs[0].per_volume) == repr(runs[1].per_volume)
         assert repr(runs[0].per_volume) == repr(runs[2].per_volume)
@@ -331,14 +331,3 @@ class TestUnitsAndBackends:
         assert unit_label(unit) == "trace.csv[rows:0:1000]"
         assert checkpoint_key(unit) == "/data/trace.csv[rows:0:1000]"
         assert checkpoint_key("/data/trace.csv") == "/data/trace.csv"
-
-    def test_resolve_backend(self):
-        assert isinstance(resolve_backend(None, 4, 10), ProcessBackend)
-        assert isinstance(resolve_backend(None, 1, 10), SerialBackend)
-        assert isinstance(resolve_backend("auto", 4, 1), SerialBackend)
-        assert isinstance(resolve_backend("serial", 4, 10), SerialBackend)
-        assert isinstance(resolve_backend("process", 1, 1), ProcessBackend)
-        be = SerialBackend()
-        assert resolve_backend(be, 8, 8) is be
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            resolve_backend("thread", 4, 10)

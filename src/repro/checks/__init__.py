@@ -26,14 +26,13 @@ RC010     state factories resolved across modules return picklable values
 
 RC001–RC006 are per-file; RC007–RC010 run over a whole-program
 :class:`~repro.checks.project.ProjectModel` (imports resolved across
-modules, bounded dataflow over analyzer methods).  Per-file parse and
-summary artifacts are cached content-addressed under
-``.repro/checks-cache/`` so warm runs stay fast.
+modules, bounded dataflow over analyzer methods).  Each file is parsed
+and its AST walked once per run; both passes share that walk.
 
 Usage::
 
     repro lint [paths ...] [--format json|sarif] [--sarif out.sarif]
-               [--select RC001,RC007] [--changed [REF]] [--no-cache]
+               [--select RC001,RC007] [--changed [REF]]
     python -m repro.checks
 
 Suppress a single line with ``# repro: noqa[RC001]``; configure per-rule
@@ -43,17 +42,8 @@ in ``pyproject.toml``.  See the README's "Static analysis" section.
 
 from __future__ import annotations
 
-from .cache import SummaryCache
 from .config import CheckConfig, RuleConfig, load_config
-from .driver import (
-    LintRun,
-    LintStats,
-    collect_files,
-    lint_files,
-    lint_paths,
-    lint_project,
-    lint_source,
-)
+from .driver import collect_files, lint_files, lint_paths, lint_source
 from .finding import Finding
 from .project import ProjectModel, extract_summary, module_name_for
 from .registry import Module, ProjectRule, Rule, all_rules, get_rule, register, rule_ids
@@ -63,14 +53,11 @@ from .sarif import format_sarif, sarif_dict, validate_sarif
 __all__ = [
     "CheckConfig",
     "Finding",
-    "LintRun",
-    "LintStats",
     "Module",
     "ProjectModel",
     "ProjectRule",
     "Rule",
     "RuleConfig",
-    "SummaryCache",
     "all_rules",
     "collect_files",
     "exit_code",
@@ -81,7 +68,6 @@ __all__ = [
     "get_rule",
     "lint_files",
     "lint_paths",
-    "lint_project",
     "lint_source",
     "load_config",
     "module_name_for",

@@ -7,12 +7,12 @@ still printing it; ``--format json`` emits the machine document described
 in :mod:`repro.checks.report`; ``--sarif PATH`` additionally writes a
 SARIF 2.1.0 log (``--format sarif`` prints it instead).
 
-The incremental cache (:mod:`repro.checks.cache`) is on by default and
-lives under the config root; ``--no-cache`` disables it and
-``--cache-dir`` relocates it.  ``--changed [REF]`` scopes *reported*
-findings to files touched versus a git ref (default ``HEAD``) plus
-untracked files — the whole-program pass still sees the full tree, so
-cross-file contracts stay sound while iterating.
+``--changed [REF]`` scopes *reported* findings to files touched versus
+a git ref (default ``HEAD``) plus untracked files — the whole-program
+pass still sees the full tree, so cross-file contracts stay sound while
+iterating.  With no path arguments the config's ``paths`` are linted,
+resolved against the directory of the governing ``pyproject.toml``, so
+the command works from any subdirectory.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ import os
 import subprocess
 from typing import List, Optional
 
-from ..lint_parser import DEFAULT_CACHE_DIR, build_lint_parser
-from .cache import SummaryCache
-from .config import CheckConfig, load_config
-from .driver import lint_project
+from ..lint_parser import build_lint_parser
+from .config import load_config
+from .driver import lint_paths
 from .registry import all_rules
 from .report import exit_code, format_json, format_text
 from .sarif import format_sarif
@@ -45,30 +44,26 @@ def _discover_pyproject() -> Optional[str]:
         here = parent
 
 
+def _git_lines(*args: str) -> List[str]:
+    proc = subprocess.run(["git", *args], capture_output=True, text=True, check=True)
+    return [line.strip() for line in proc.stdout.splitlines() if line.strip()]
+
+
 def _changed_files(ref: str) -> Optional[List[str]]:
-    """Files changed vs ``ref`` plus untracked files, or None on git failure."""
-    changed: List[str] = []
-    for args in (
-        ["git", "diff", "--name-only", ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                args, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        changed.extend(line.strip() for line in proc.stdout.splitlines() if line.strip())
-    return changed
+    """Absolute paths changed vs ``ref`` plus untracked files, or None on git failure.
 
-
-def _resolve_cache(args: argparse.Namespace, config: CheckConfig) -> Optional[SummaryCache]:
-    if args.no_cache:
+    Both listings run at the repository's top level, so they name every
+    file in the checkout whichever subdirectory the lint runs from.
+    """
+    try:
+        (top,) = _git_lines("rev-parse", "--show-toplevel")
+        names = _git_lines("-C", top, "diff", "--name-only", ref, "--")
+        names += _git_lines(
+            "-C", top, "ls-files", "--others", "--exclude-standard", "--full-name"
+        )
+    except (OSError, ValueError, subprocess.CalledProcessError):
         return None
-    directory = args.cache_dir or config.cache_dir or DEFAULT_CACHE_DIR
-    if not os.path.isabs(directory):
-        directory = os.path.join(config.root, directory)
-    return SummaryCache(directory)
+    return [os.path.join(top, name) for name in names]
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -95,27 +90,26 @@ def run_lint(args: argparse.Namespace) -> int:
             print(f"repro lint: cannot resolve --changed against {args.changed!r} "
                   "(not a git checkout?)")
             return 2
-    run = lint_project(
-        args.paths or None,
-        config=config,
-        select=select,
-        cache=_resolve_cache(args, config),
-        only_paths=only_paths,
-    )
+    roots = args.paths or config.lint_roots()
+    missing = [path for path in roots if not os.path.exists(path)]
+    if missing:
+        print(f"repro lint: no such file or directory: {', '.join(missing)}")
+        return 2
+    findings = lint_paths(roots, config=config, select=select, only_paths=only_paths)
     if args.format == "json":
-        report = format_json(run.findings, stats=run.stats)
+        report = format_json(findings)
     elif args.format == "sarif":
-        report = format_sarif(run.findings)
+        report = format_sarif(findings)
     else:
-        report = format_text(run.findings)
+        report = format_text(findings)
     print(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report + "\n")
     if args.sarif:
         with open(args.sarif, "w", encoding="utf-8") as fh:
-            fh.write(format_sarif(run.findings) + "\n")
-    return exit_code(run.findings)
+            fh.write(format_sarif(findings) + "\n")
+    return exit_code(findings)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

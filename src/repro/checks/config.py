@@ -88,11 +88,16 @@ class CheckConfig:
     paths: List[str] = field(default_factory=lambda: list(DEFAULT_PATHS))
     exclude: List[str] = field(default_factory=list)
     rules: Dict[str, RuleConfig] = field(default_factory=dict)
-    #: Directory the config was loaded from (anchors relative rule options
-    #: like RC009's baseline paths, and the default cache location).
+    #: Directory the config was loaded from; relative ``paths`` and rule
+    #: options like RC009's baseline paths resolve against it.
     root: str = "."
-    #: Incremental-cache directory; relative paths resolve against ``root``.
-    cache_dir: Optional[str] = None
+
+    def lint_roots(self) -> List[str]:
+        """``paths`` anchored at ``root``, relative to the working directory."""
+        return [
+            p if os.path.isabs(p) else os.path.relpath(os.path.join(self.root, p))
+            for p in self.paths
+        ]
 
     def rule_config(self, rule_id: str) -> RuleConfig:
         return self.rules.get(rule_id, RuleConfig())
@@ -142,11 +147,9 @@ def load_config(pyproject_path: Optional[str] = None) -> CheckConfig:
         rule_id: RuleConfig.from_table(rule_table, rule_id)
         for rule_id, rule_table in table.get("rules", {}).items()
     }
-    cache_dir = table.get("cache_dir")
     return CheckConfig(
         paths=[str(p) for p in table.get("paths", list(DEFAULT_PATHS))],
         exclude=[str(p) for p in table.get("exclude", [])],
         rules=rules,
         root=os.path.dirname(os.path.abspath(pyproject_path)) or ".",
-        cache_dir=str(cache_dir) if cache_dir is not None else None,
     )

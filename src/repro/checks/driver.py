@@ -12,13 +12,6 @@ noqa`` suppressions and returned sorted by ``(path, line, col, rule)``
 — deterministic output for identical input, the same property the
 rules police.
 
-With a :class:`~repro.checks.cache.SummaryCache`, the per-file work
-(parse, per-file findings, summary extraction) is served from disk for
-files whose content hash, rule-pack fingerprint, and per-file config
-key all match; the project pass always re-runs, but over cached
-summaries it is cheap.  :class:`LintStats` reports the hit/miss split
-so CI can assert warm runs actually reuse the cache.
-
 Files that fail to parse produce an ``RC000`` syntax-error finding
 instead of crashing the run: a file the linter cannot read is a file the
 invariants cannot be verified on.
@@ -26,51 +19,17 @@ invariants cannot be verified on.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import rules as _rules  # noqa: F401  (imports register the rule pack)
-from .cache import SummaryCache
 from .config import CheckConfig
 from .finding import Finding
 from .noqa import collect_suppressions, is_suppressed
 from .project import ProjectModel, extract_summary
 from .registry import Module, ProjectRule, Rule, all_rules
 
-__all__ = [
-    "LintRun",
-    "LintStats",
-    "collect_files",
-    "lint_files",
-    "lint_paths",
-    "lint_project",
-    "lint_source",
-]
-
-
-@dataclass
-class LintStats:
-    """Driver accounting for one lint run (feeds the JSON report)."""
-
-    files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-
-@dataclass
-class LintRun:
-    """Findings plus the stats that produced them."""
-
-    findings: List[Finding] = field(default_factory=list)
-    stats: LintStats = field(default_factory=LintStats)
+__all__ = ["collect_files", "lint_files", "lint_paths", "lint_source"]
 
 
 def collect_files(paths: Iterable[str], config: CheckConfig) -> List[str]:
@@ -104,10 +63,7 @@ def _select_rules(config: CheckConfig, select: Optional[Sequence[str]]) -> List[
 
 
 def _analyze_source(
-    text: str,
-    path: str,
-    config: CheckConfig,
-    select: Optional[Sequence[str]],
+    text: str, path: str, config: CheckConfig, rules: Sequence[Rule]
 ) -> Tuple[List[Finding], Optional[dict]]:
     """(per-file findings, project summary) for one source string."""
     try:
@@ -129,7 +85,7 @@ def _analyze_source(
         )
     suppressions = collect_suppressions(text)
     findings: List[Finding] = []
-    for rule in _select_rules(config, select):
+    for rule in rules:
         if rule.scope != "file" or not config.rule_applies(rule, path):
             continue
         findings.extend(
@@ -146,53 +102,19 @@ def lint_source(
 ) -> List[Finding]:
     """Lint one source string with the per-file rules (the test seam)."""
     config = config if config is not None else CheckConfig()
-    findings, _summary = _analyze_source(text, path, config, select)
-    return findings
-
-
-def _config_key(
-    config: CheckConfig, select: Optional[Sequence[str]], path: str
-) -> str:
-    """Digest of everything (besides content) that shapes one file's result."""
-    per_file = [
-        (rule.id, config.effective_severity(rule))
-        for rule in all_rules()
-        if rule.scope == "file" and config.rule_applies(rule, path)
-    ]
-    payload = json.dumps(
-        {"rules": per_file, "select": sorted(s.upper() for s in select) if select else None},
-        sort_keys=True,
+    findings, _summary = _analyze_source(
+        text, path, config, _select_rules(config, select)
     )
-    return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def lint_files(
-    files: Iterable[str],
-    config: Optional[CheckConfig] = None,
-    select: Optional[Sequence[str]] = None,
-    cache: Optional[SummaryCache] = None,
-) -> List[Finding]:
-    """Lint explicit files (both passes); returns all findings sorted."""
-    return _lint_file_list(list(files), config, select, cache).findings
+    return findings
 
 
 def lint_paths(
     paths: Optional[Sequence[str]] = None,
     config: Optional[CheckConfig] = None,
     select: Optional[Sequence[str]] = None,
-) -> List[Finding]:
-    """Lint files/directories (defaulting to the config's ``paths``)."""
-    return lint_project(paths, config=config, select=select).findings
-
-
-def lint_project(
-    paths: Optional[Sequence[str]] = None,
-    config: Optional[CheckConfig] = None,
-    select: Optional[Sequence[str]] = None,
-    cache: Optional[SummaryCache] = None,
     only_paths: Optional[Iterable[str]] = None,
-) -> LintRun:
-    """The full lint: per-file pass, project pass, optional cache + scoping.
+) -> List[Finding]:
+    """Lint files/directories (default: the config's ``paths``), both passes.
 
     ``only_paths`` (the ``--changed`` mechanism) filters *findings* to
     the given files after both passes ran over the whole tree — project
@@ -200,46 +122,34 @@ def lint_project(
     breach is reported wherever its anchor site is.
     """
     config = config if config is not None else CheckConfig()
-    roots = list(paths) if paths else list(config.paths)
-    return _lint_file_list(
-        collect_files(roots, config), config, select, cache, only_paths
-    )
+    roots = list(paths) if paths else config.lint_roots()
+    findings = lint_files(collect_files(roots, config), config, select)
+    if only_paths is None:
+        return findings
+    wanted: Set[str] = {os.path.realpath(p) for p in only_paths}
+    return [f for f in findings if os.path.realpath(f.path) in wanted]
 
 
-def _lint_file_list(
-    files: List[str],
-    config: Optional[CheckConfig],
-    select: Optional[Sequence[str]],
-    cache: Optional[SummaryCache] = None,
-    only_paths: Optional[Iterable[str]] = None,
-) -> LintRun:
+def lint_files(
+    files: Iterable[str],
+    config: Optional[CheckConfig] = None,
+    select: Optional[Sequence[str]] = None,
+) -> List[Finding]:
+    """Lint explicit files (both passes); returns all findings sorted."""
     config = config if config is not None else CheckConfig()
-    stats = LintStats()
+    rules = _select_rules(config, select)
     findings: List[Finding] = []
     summaries: List[dict] = []
     for path in files:
         with open(path, "rb") as fh:
-            blob = fh.read()
-        stats.files += 1
-        file_findings: Optional[List[Finding]] = None
-        summary: Optional[dict] = None
-        if cache is not None:
-            content_hash = hashlib.sha256(blob).hexdigest()
-            key = _config_key(config, select, path)
-            hit = cache.load(path, content_hash, key)
-            if hit is not None:
-                file_findings, summary = hit
-        if file_findings is None:
-            text = blob.decode("utf-8")
-            file_findings, summary = _analyze_source(text, path, config, select)
-            if cache is not None:
-                cache.store(path, content_hash, key, file_findings, summary)
+            text = fh.read().decode("utf-8")
+        file_findings, summary = _analyze_source(text, path, config, rules)
         findings.extend(file_findings)
         if summary is not None:
             summaries.append(summary)
 
     project = ProjectModel(summaries)
-    for rule in _select_rules(config, select):
+    for rule in rules:
         if not isinstance(rule, ProjectRule):
             continue
         for finding in rule.check_project(project, config):
@@ -248,10 +158,4 @@ def _lint_file_list(
             if is_suppressed(finding, project.suppressions_for(finding.path)):
                 continue
             findings.append(finding)
-
-    if only_paths is not None:
-        wanted: Set[str] = {os.path.abspath(p) for p in only_paths}
-        findings = [f for f in findings if os.path.abspath(f.path) in wanted]
-    if cache is not None:
-        stats.cache_hits, stats.cache_misses = cache.hits, cache.misses
-    return LintRun(findings=sorted(findings), stats=stats)
+    return sorted(findings)

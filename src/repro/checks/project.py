@@ -13,8 +13,6 @@ infrastructure:
   module-level string constants, per-function dataflow facts, per-class
   method tables and ``required_columns`` declarations, ``os.environ``
   touch points, metric-registry call sites, and noqa suppressions).
-  Summaries are deliberately source-free so the incremental cache
-  (:mod:`repro.checks.cache`) can persist them verbatim.
 * :class:`ProjectModel` indexes the summaries by module name and
   resolves dotted references across files — import chains, re-exports,
   classes, methods (following base classes), and module constants —
@@ -32,22 +30,18 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .noqa import collect_suppressions
 from .registry import Module
 from .rules.common import LOCK_CONSTRUCTORS, attribute_chain
 
 __all__ = [
-    "SUMMARY_VERSION",
     "ProjectModel",
     "extract_summary",
     "module_name_for",
     "render_annotation",
 ]
-
-#: Bump when the summary schema changes; invalidates cached summaries.
-SUMMARY_VERSION = 1
 
 #: Registry method names treated as metric-producing call sites.
 _METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "timer"})
@@ -57,6 +51,8 @@ _ENV_READ_CALLS = frozenset({"os.environ.get", "os.getenv"})
 _ENV_WRITE_CALLS = frozenset({"os.environ.setdefault"})
 
 _MAX_RESOLVE_DEPTH = 8
+
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def module_name_for(path: str) -> str:
@@ -92,10 +88,12 @@ def _resolve_relative(
     return base
 
 
-def _collect_imports(tree: ast.AST, module_name: str, is_package: bool) -> Dict[str, str]:
+def _collect_imports(
+    nodes: Sequence[ast.AST], module_name: str, is_package: bool
+) -> Dict[str, str]:
     """Local name -> absolute dotted path, relative imports resolved."""
     imports: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]
@@ -382,8 +380,22 @@ def _class_facts(
     return summary, functions
 
 
+def _function_scoped(nodes: Sequence[ast.AST]) -> Set[int]:
+    """ids of the nodes nested in a function or lambda (its decorators too).
+
+    ``nodes`` lists parents before children, so a nested function is
+    already in the set when reached and its subtree is not walked again.
+    """
+    scoped: Set[int] = set()
+    for node in nodes:
+        if isinstance(node, _FUNCTION_NODES) and id(node) not in scoped:
+            for child in ast.iter_child_nodes(node):
+                scoped.update(id(sub) for sub in ast.walk(child))
+    return scoped
+
+
 def _scan_env_and_metrics(
-    tree: ast.AST,
+    nodes: Sequence[ast.AST],
     canonical: Callable[[ast.AST], Optional[str]],
     constants: Dict[str, str],
 ) -> Tuple[List[List[Any]], List[List[Any]], List[List[Any]]]:
@@ -395,8 +407,7 @@ def _scan_env_and_metrics(
     ``"module"`` for import-time reads.  Metric sites are
     ``[kind, pattern, line, col]`` with f-string fields widened to ``*``.
     """
-    reads: List[List[Any]] = []
-    writes: List[List[Any]] = []
+    env: List[Tuple[bool, ast.AST, List[Any]]] = []  # (is write, site, [var, ref])
     metrics: List[List[Any]] = []
 
     def name_of(node: ast.AST) -> Tuple[Optional[str], Optional[str]]:
@@ -423,39 +434,36 @@ def _scan_env_and_metrics(
             return "".join(parts) or None
         return None
 
-    def walk(node: ast.AST, depth: int) -> None:
-        in_function = depth > 0 or isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        )
-        for child in ast.iter_child_nodes(node):
-            scope = "function" if in_function else "module"
-            if isinstance(child, ast.Call):
-                qualname = canonical(child.func)
-                if qualname in _ENV_READ_CALLS and child.args:
-                    var, ref = name_of(child.args[0])
-                    if var is not None or ref is not None:
-                        reads.append([var, ref] + _site(child) + [scope])
-                elif qualname in _ENV_WRITE_CALLS and child.args:
-                    var, ref = name_of(child.args[0])
-                    if var is not None or ref is not None:
-                        writes.append([var, ref] + _site(child) + [scope])
-                chain = attribute_chain(child.func)
-                if chain and chain[-1] in _METRIC_METHODS and child.args:
-                    pattern = pattern_of(child.args[0])
-                    if pattern is not None:
-                        metrics.append([chain[-1], pattern] + _site(child))
-            elif isinstance(child, ast.Subscript):
-                if canonical(child.value) == "os.environ":
-                    var, ref = name_of(child.slice)
-                    if var is not None or ref is not None:
-                        entry = [var, ref] + _site(child) + [scope]
-                        if isinstance(child.ctx, ast.Store):
-                            writes.append(entry)
-                        elif isinstance(child.ctx, ast.Load):
-                            reads.append(entry)
-            walk(child, depth + (1 if in_function else 0))
+    def touch(is_write: bool, site: ast.AST, name: ast.AST) -> None:
+        var, ref = name_of(name)
+        if var is not None or ref is not None:
+            env.append((is_write, site, [var, ref]))
 
-    walk(tree, 0)
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            qualname = canonical(node.func)
+            if qualname in _ENV_READ_CALLS and node.args:
+                touch(False, node, node.args[0])
+            elif qualname in _ENV_WRITE_CALLS and node.args:
+                touch(True, node, node.args[0])
+            chain = attribute_chain(node.func)
+            if chain and chain[-1] in _METRIC_METHODS and node.args:
+                pattern = pattern_of(node.args[0])
+                if pattern is not None:
+                    metrics.append([chain[-1], pattern] + _site(node))
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, (ast.Load, ast.Store))
+            and canonical(node.value) == "os.environ"
+        ):
+            touch(isinstance(node.ctx, ast.Store), node, node.slice)
+
+    scoped = _function_scoped(nodes) if env else set()
+    reads: List[List[Any]] = []
+    writes: List[List[Any]] = []
+    for is_write, site, names in env:
+        scope = "function" if id(site) in scoped else "module"
+        (writes if is_write else reads).append(names + _site(site) + [scope])
     return reads, writes, metrics
 
 
@@ -464,7 +472,7 @@ def extract_summary(module: Module, path: Optional[str] = None) -> Dict[str, Any
     file_path = path if path is not None else module.path
     is_package = os.path.basename(file_path) == "__init__.py"
     name = module_name_for(file_path)
-    imports = _collect_imports(module.tree, name, is_package)
+    imports = _collect_imports(module.nodes, name, is_package)
 
     def canonical(node: ast.AST) -> Optional[str]:
         chain = attribute_chain(node)
@@ -492,14 +500,13 @@ def extract_summary(module: Module, path: Optional[str] = None) -> Dict[str, Any
             functions.update(cls_functions)
 
     env_reads, env_writes, metric_sites = _scan_env_and_metrics(
-        module.tree, canonical, constants
+        module.nodes, canonical, constants
     )
     suppressions = {
         str(line): sorted(rules)
         for line, rules in collect_suppressions(module.text).items()
     }
     return {
-        "version": SUMMARY_VERSION,
         "path": file_path,
         "module": name,
         "is_package": is_package,

@@ -6,10 +6,10 @@ objects.  Rules are registered with :func:`register` at import time
 (:mod:`repro.checks.rules` imports every rule module) and looked up by id.
 
 :class:`Module` packages everything a rule needs for one source file —
-the parsed AST, the raw text, and an import-alias resolver so rules can
-match calls like ``np.random.default_rng()`` against canonical dotted
-names (``numpy.random.default_rng``) however the module spelled its
-imports.
+the parsed AST and its node list, the raw text, and an import-alias
+resolver so rules can match calls like ``np.random.default_rng()``
+against canonical dotted names (``numpy.random.default_rng``) however
+the module spelled its imports.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ class ImportMap:
     of ``self``, …), which keeps rules from guessing about shadowed names.
     """
 
-    def __init__(self, tree: ast.AST) -> None:
+    def __init__(self, nodes: Iterable[ast.AST]) -> None:
         self._aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
@@ -75,13 +75,19 @@ class ImportMap:
 
 
 class Module:
-    """One source file, parsed and ready for rules."""
+    """One source file, parsed and ready for rules.
+
+    ``nodes`` is every node of ``tree`` in :func:`ast.walk` order, walked
+    once here; rules and the project summary iterate it instead of
+    walking the whole tree again.
+    """
 
     def __init__(self, path: str, text: str, tree: ast.Module) -> None:
         self.path = path
         self.text = text
         self.tree = tree
-        self.imports = ImportMap(tree)
+        self.nodes: List[ast.AST] = list(ast.walk(tree))
+        self.imports = ImportMap(self.nodes)
 
     @classmethod
     def from_source(cls, text: str, path: str = "<snippet>") -> "Module":

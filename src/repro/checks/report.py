@@ -3,34 +3,27 @@
 The JSON document is the CI artifact::
 
     {
-      "version": 2,
+      "version": 3,
       "counts": {"total": 2, "error": 2, "warning": 0, "by_rule": {"RC001": 2}},
-      "cache": {"files": 80, "hits": 78, "misses": 2, "hit_rate": 0.975},
       "findings": [{"path": ..., "line": ..., "col": ..., "rule": ...,
                     "severity": ..., "message": ..., "hint": ...}, ...]
     }
-
-``cache`` appears only when the run carried driver stats (the CLI path);
-version 2 added it.  CI asserts ``cache.hit_rate >= 0.9`` on a warm
-run over an unchanged tree.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 from .finding import SEVERITIES, Finding
 
 __all__ = ["exit_code", "format_json", "format_text", "report_dict"]
 
-#: Schema version of the JSON report (2: added the "cache" stats block).
-JSON_VERSION = 2
+#: Schema version of the JSON report (3: dropped the "cache" stats block).
+JSON_VERSION = 3
 
 
-def report_dict(
-    findings: Sequence[Finding], stats: Optional[Any] = None
-) -> Dict[str, Any]:
+def report_dict(findings: Sequence[Finding]) -> Dict[str, Any]:
     by_rule: Dict[str, int] = {}
     for f in findings:
         by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
@@ -38,23 +31,15 @@ def report_dict(
     for severity in SEVERITIES:
         counts[severity] = sum(1 for f in findings if f.severity == severity)
     counts["by_rule"] = {rule: by_rule[rule] for rule in sorted(by_rule)}
-    doc: Dict[str, Any] = {
+    return {
         "version": JSON_VERSION,
         "counts": counts,
         "findings": [f.to_dict() for f in sorted(findings)],
     }
-    if stats is not None:
-        doc["cache"] = {
-            "files": stats.files,
-            "hits": stats.cache_hits,
-            "misses": stats.cache_misses,
-            "hit_rate": round(stats.hit_rate, 4),
-        }
-    return doc
 
 
-def format_json(findings: Sequence[Finding], stats: Optional[Any] = None) -> str:
-    return json.dumps(report_dict(findings, stats=stats), indent=2, sort_keys=True)
+def format_json(findings: Sequence[Finding]) -> str:
+    return json.dumps(report_dict(findings), indent=2, sort_keys=True)
 
 
 def format_text(findings: Sequence[Finding]) -> str:

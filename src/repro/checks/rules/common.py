@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, Tuple, Union
 
 __all__ = [
     "FunctionNode",
@@ -46,17 +46,17 @@ STATE_SCOPE_NAMES: FrozenSet[str] = frozenset({"init_state", "consume", "merge"}
 
 
 def iter_scope_functions(
-    tree: ast.AST, names: FrozenSet[str]
+    nodes: Iterable[ast.AST], names: FrozenSet[str]
 ) -> Iterator[FunctionNode]:
-    """Every (sync or async) function in ``tree`` whose name is in ``names``."""
-    for node in ast.walk(tree):
+    """Every (sync or async) function in ``nodes`` whose name is in ``names``."""
+    for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names:
             yield node
 
 
-def iter_state_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
+def iter_state_classes(nodes: Iterable[ast.AST]) -> Iterator[ast.ClassDef]:
     """Classes named ``*State`` — the conventional analyzer-state carriers."""
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.ClassDef) and node.name.endswith("State"):
             yield node
 

@@ -47,7 +47,7 @@ class WallClockRule(Rule):
     default_exclude = ("*/obs/*",)
 
     def check(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             qualname = module.imports.resolve(node.func)

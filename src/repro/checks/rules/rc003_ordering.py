@@ -90,7 +90,7 @@ class UnorderedMergeIterationRule(Rule):
     hint = "wrap the iterable in sorted(...) or accumulate into an ordered structure"
 
     def check(self, module: Module) -> Iterator[Finding]:
-        for func in iter_scope_functions(module.tree, MERGE_SCOPE_NAMES):
+        for func in iter_scope_functions(module.nodes, MERGE_SCOPE_NAMES):
             for node in ast.walk(func):
                 iters = []
                 if isinstance(node, (ast.For, ast.AsyncFor)):

@@ -72,9 +72,9 @@ class UnpicklableStateRule(Rule):
     def check(self, module: Module) -> Iterator[Finding]:
         seen: Set[int] = set()
         scopes: List[Union[FunctionNode, ast.ClassDef]] = list(
-            iter_scope_functions(module.tree, STATE_SCOPE_NAMES)
+            iter_scope_functions(module.nodes, STATE_SCOPE_NAMES)
         )
-        for cls in iter_state_classes(module.tree):
+        for cls in iter_state_classes(module.nodes):
             scopes.extend(
                 n for n in cls.body
                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))

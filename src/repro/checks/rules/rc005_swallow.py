@@ -49,7 +49,7 @@ class SwallowedExceptionRule(Rule):
     )
 
     def check(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:

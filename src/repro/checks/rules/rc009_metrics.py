@@ -39,7 +39,7 @@ from fnmatch import fnmatch
 from typing import Dict, Iterator, List, Set, Tuple
 
 from ..finding import Finding
-from ..registry import ProjectRule, register
+from ..registry import Module, ProjectRule, register
 
 __all__ = ["MetricContractRule"]
 
@@ -83,11 +83,11 @@ def _producer_atoms(path: str) -> List[str]:
     atoms: Set[str] = set()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+            module = Module.from_source(fh.read(), path=path)
     except (OSError, SyntaxError, ValueError):
         _producer_memo[key] = []
         return []
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             if _name_like(node.value):
                 atoms.add(node.value)

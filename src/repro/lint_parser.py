@@ -11,14 +11,9 @@ re-exports :func:`build_lint_parser` for ``python -m repro.checks``.
 from __future__ import annotations
 
 import argparse
-import os
 from typing import Optional
 
-__all__ = ["DEFAULT_CACHE_DIR", "build_lint_parser"]
-
-#: Default lint cache location, relative to the config root (the
-#: directory of the governing ``pyproject.toml``) or the working directory.
-DEFAULT_CACHE_DIR = os.path.join(".repro", "checks-cache")
+__all__ = ["build_lint_parser"]
 
 
 def build_lint_parser(parser: Optional[argparse.ArgumentParser] = None) -> argparse.ArgumentParser:
@@ -62,14 +57,6 @@ def build_lint_parser(parser: Optional[argparse.ArgumentParser] = None) -> argpa
     parser.add_argument(
         "--no-config", action="store_true",
         help="ignore pyproject.toml and run with built-in defaults",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental summary cache for this run",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help=f"cache location (default: config cache_dir or {DEFAULT_CACHE_DIR})",
     )
     parser.add_argument(
         "--list-rules", action="store_true",

@@ -40,20 +40,21 @@ def tree(tmp_path):
 
 class TestLintMain:
     def test_clean_tree_exits_zero(self, tree, capsys):
-        assert lint_main(["--no-config", "--no-cache", str(tree / "clean.py")]) == 0
+        assert lint_main(["--no-config", str(tree / "clean.py")]) == 0
         out = capsys.readouterr().out
         assert "no findings" in out
 
     def test_findings_exit_nonzero(self, tree, capsys):
-        assert lint_main(["--no-config", "--no-cache", str(tree)]) == 1
+        assert lint_main(["--no-config", str(tree)]) == 1
         out = capsys.readouterr().out
         assert "RC001" in out
         assert "dirty.py" in out
 
     def test_json_format_matches_schema(self, tree, capsys):
-        lint_main(["--no-config", "--no-cache", "--format", "json", str(tree)])
+        lint_main(["--no-config", "--format", "json", str(tree)])
         doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == 2
+        assert doc["version"] == 3
+        assert sorted(doc) == ["counts", "findings", "version"]
         assert doc["counts"]["total"] == 1
         assert doc["counts"]["error"] == 1
         assert doc["counts"]["by_rule"] == {"RC001": 1}
@@ -64,13 +65,11 @@ class TestLintMain:
         assert finding["severity"] == "error"
         assert finding["message"]
         assert finding["hint"]
-        # cache accounting is always reported; with --no-cache it is all zeros
-        assert doc["cache"] == {"files": 2, "hits": 0, "misses": 0, "hit_rate": 0.0}
 
     def test_output_writes_artifact(self, tree, tmp_path, capsys):
         artifact = tmp_path / "lint.json"
         lint_main(
-            ["--no-config", "--no-cache", "--format", "json",
+            ["--no-config", "--format", "json",
              "--output", str(artifact), str(tree)]
         )
         on_disk = json.loads(artifact.read_text())
@@ -80,7 +79,7 @@ class TestLintMain:
     def test_sarif_flag_writes_valid_log(self, tree, tmp_path, capsys):
         sarif_path = tmp_path / "lint.sarif"
         code = lint_main(
-            ["--no-config", "--no-cache", "--sarif", str(sarif_path), str(tree)]
+            ["--no-config", "--sarif", str(sarif_path), str(tree)]
         )
         assert code == 1
         # stdout stays in the chosen format (text) ...
@@ -93,27 +92,41 @@ class TestLintMain:
 
     def test_sarif_format_prints_valid_log(self, tree, capsys):
         code = lint_main(
-            ["--no-config", "--no-cache", "--format", "sarif", str(tree)]
+            ["--no-config", "--format", "sarif", str(tree)]
         )
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
         validate_sarif(doc)
 
-    def test_cache_dir_warm_run_hits(self, tree, tmp_path, capsys):
-        cache_dir = tmp_path / "lint-cache"
-        args = ["--no-config", "--cache-dir", str(cache_dir),
-                "--format", "json", str(tree)]
-        lint_main(args)
-        cold = json.loads(capsys.readouterr().out)
-        lint_main(args)
-        warm = json.loads(capsys.readouterr().out)
-        assert cold["cache"] == {"files": 2, "hits": 0, "misses": 2, "hit_rate": 0.0}
-        assert warm["cache"] == {"files": 2, "hits": 2, "misses": 0, "hit_rate": 1.0}
-        assert warm["findings"] == cold["findings"]
+    @pytest.mark.parametrize("flag", [["--no-cache"], ["--cache-dir", "x"]])
+    def test_removed_cache_flags_are_usage_errors(self, tree, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--no-config", *flag, str(tree)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_missing_path_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        assert lint_main(["--no-config", str(missing)]) == 2
+        assert "no-such-dir" in capsys.readouterr().out
+
+    def test_default_run_writes_nothing_under_the_config_root(self, tmp_path, capsys):
+        root = tmp_path / "proj"
+        (root / "src" / "pkg").mkdir(parents=True)
+        (root / "src" / "pkg" / "clean.py").write_text(CLEAN)
+        pyproject = root / "pyproject.toml"
+        pyproject.write_text('[tool.repro.checks]\npaths = ["src/pkg"]\n')
+        before = sorted(p.relative_to(root) for p in root.rglob("*"))
+        try:
+            code = lint_main(["--config", str(pyproject)])
+        except RuntimeError:
+            pytest.skip("no TOML reader on this interpreter")
+        assert code == 0, capsys.readouterr().out
+        assert sorted(p.relative_to(root) for p in root.rglob("*")) == before
 
     def test_select_restricts_rules(self, tree, capsys):
         assert lint_main(
-            ["--no-config", "--no-cache", "--select", "RC006", str(tree)]
+            ["--no-config", "--select", "RC006", str(tree)]
         ) == 0
         assert "no findings" in capsys.readouterr().out
 
@@ -133,7 +146,7 @@ class TestLintMain:
         )
         try:
             code = lint_main(
-                ["--config", str(pyproject), "--no-cache", str(tree)]
+                ["--config", str(pyproject), str(tree)]
             )
         except RuntimeError:
             pytest.skip("no TOML reader on this interpreter")
@@ -159,11 +172,11 @@ class TestChangedScoping:
             pytest.skip("git commit unavailable")
         return tmp_path
 
-    def _lint(self, repo, *extra):
+    def _lint(self, repo, *extra, cwd=None, path=None):
         return subprocess.run(
-            [sys.executable, "-m", "repro.checks", "--no-config", "--no-cache",
-             "--format", "json", *extra, str(repo)],
-            cwd=repo, capture_output=True, text=True, env=_subprocess_env(),
+            [sys.executable, "-m", "repro.checks", "--no-config",
+             "--format", "json", *extra, str(path or repo)],
+            cwd=cwd or repo, capture_output=True, text=True, env=_subprocess_env(),
         )
 
     def test_changed_reports_only_touched_files(self, repo):
@@ -176,6 +189,22 @@ class TestChangedScoping:
         # the committed violation still exists — an unscoped run reports it
         full = json.loads(self._lint(repo).stdout)
         assert any(f["path"].endswith("committed_bad.py") for f in full["findings"])
+
+    def test_changed_from_a_subdirectory(self, repo):
+        # git prints diff paths from the top level and untracked paths from
+        # the working directory; both must still match the linted files.
+        sub = repo / "sub"
+        sub.mkdir()
+        (sub / "tracked.py").write_text(CLEAN)
+        (sub / "committed_bad.py").write_text(DIRTY)
+        self._git(repo, "add", "-A")
+        self._git(repo, "commit", "-m", "sub")
+        (sub / "tracked.py").write_text(DIRTY)
+        (repo / "untracked_bad.py").write_text(DIRTY)
+        proc = self._lint(repo, "--changed", "HEAD", cwd=sub, path="..")
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        paths = sorted(f["path"] for f in json.loads(proc.stdout)["findings"])
+        assert paths == ["../sub/tracked.py", "../untracked_bad.py"], paths
 
     def test_changed_clean_when_nothing_touched(self, repo):
         proc = self._lint(repo, "--changed", "HEAD")
@@ -192,13 +221,13 @@ class TestReproCliIntegration:
     def test_repro_lint_subcommand(self, tree, capsys):
         from repro.cli import main as repro_main
 
-        code = repro_main(["lint", "--no-config", "--no-cache", str(tree)])
+        code = repro_main(["lint", "--no-config", str(tree)])
         assert code == 1
         assert "RC001" in capsys.readouterr().out
 
     def test_module_entry_point(self, tree):
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.checks", "--no-config", "--no-cache",
+            [sys.executable, "-m", "repro.checks", "--no-config",
              "--format", "json", str(tree)],
             capture_output=True, text=True,
         )

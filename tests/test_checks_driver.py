@@ -143,13 +143,26 @@ class TestSelfLint:
     """The gate the CI lint job enforces, run as a tier-1 test: the repo's
     own source must satisfy its own invariants."""
 
-    def test_repo_source_is_clean(self):
-        root = os.path.join(os.path.dirname(__file__), os.pardir)
-        src = os.path.normpath(os.path.join(root, "src", "repro"))
-        pyproject = os.path.normpath(os.path.join(root, "pyproject.toml"))
+    ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
+
+    def _config(self):
         try:
-            config = load_config(pyproject)
+            return load_config(os.path.join(self.ROOT, "pyproject.toml"))
         except RuntimeError:  # no tomllib on this interpreter
-            config = CheckConfig()
-        findings = lint_paths([src], config=config)
+            return CheckConfig(root=self.ROOT)
+
+    def test_repo_source_is_clean(self):
+        src = os.path.join(self.ROOT, "src", "repro")
+        findings = lint_paths([src], config=self._config())
+        assert findings == [], "\n".join(str(f) for f in findings)
+
+    def test_config_paths_resolve_from_a_subdirectory(self, monkeypatch):
+        # The config's own paths are relative to pyproject.toml, not to
+        # the working directory the lint runs from.
+        monkeypatch.chdir(os.path.join(self.ROOT, "tests"))
+        config = self._config()
+        roots = config.lint_roots()
+        assert roots == [os.path.join(os.pardir, "src", "repro")]
+        assert collect_files(roots, config)
+        findings = lint_paths(config=config)
         assert findings == [], "\n".join(str(f) for f in findings)

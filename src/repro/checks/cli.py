@@ -2,9 +2,11 @@
 
 Exits 0 when the tree is clean (or every finding is warning-severity),
 1 when any error-severity finding survives suppression, 2 on usage
-errors.  ``--output`` writes the report to a file (the CI artifact) while
-still printing it; ``--format json`` emits the machine document described
-in :mod:`repro.checks.report`; ``--sarif PATH`` additionally writes a
+errors (a missing path, a bad ``--changed`` ref, or a rule id in
+``--select`` or a config rule table that names no rule).  ``--output``
+writes the report to a file (the CI artifact) while still printing it;
+``--format json`` emits the machine document described in
+:mod:`repro.checks.report`; ``--sarif PATH`` additionally writes a
 SARIF 2.1.0 log (``--format sarif`` prints it instead).
 
 ``--changed [REF]`` scopes *reported* findings to files touched versus
@@ -24,7 +26,7 @@ from typing import List, Optional
 
 from ..lint_parser import build_lint_parser
 from .config import load_config
-from .driver import lint_paths
+from .driver import UnknownRuleError, lint_paths
 from .registry import all_rules
 from .report import exit_code, format_json, format_text
 from .sarif import format_sarif
@@ -95,7 +97,11 @@ def run_lint(args: argparse.Namespace) -> int:
     if missing:
         print(f"repro lint: no such file or directory: {', '.join(missing)}")
         return 2
-    findings = lint_paths(roots, config=config, select=select, only_paths=only_paths)
+    try:
+        findings = lint_paths(roots, config=config, select=select, only_paths=only_paths)
+    except UnknownRuleError as exc:
+        print(f"repro lint: {exc}")
+        return 2
     if args.format == "json":
         report = format_json(findings)
     elif args.format == "sarif":

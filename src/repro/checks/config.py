@@ -15,7 +15,10 @@ Example::
 
 Per-rule blocks may set ``enabled`` (bool), ``severity`` (``error`` /
 ``warning``), and ``include`` / ``exclude`` (fnmatch patterns matched
-against the linted file's path as given, POSIX separators).  Path
+against the linted file's path relative to the directory of the
+``pyproject.toml``, POSIX separators — the same anchor as ``paths``, so
+a pattern means the same files from any working directory).  A rule
+table for an id that names no rule is a usage error.  Path
 patterns *extend* the rule's built-in defaults rather than replacing
 them, so scoping encoded in a rule (e.g. RC002's obs allowlist) survives
 a partial config.
@@ -88,8 +91,9 @@ class CheckConfig:
     paths: List[str] = field(default_factory=lambda: list(DEFAULT_PATHS))
     exclude: List[str] = field(default_factory=list)
     rules: Dict[str, RuleConfig] = field(default_factory=dict)
-    #: Directory the config was loaded from; relative ``paths`` and rule
-    #: options like RC009's baseline paths resolve against it.
+    #: Directory the config was loaded from; relative ``paths``, the
+    #: ``exclude``/``include`` patterns and rule options like RC009's
+    #: baseline paths resolve against it.
     root: str = "."
 
     def lint_roots(self) -> List[str]:
@@ -103,13 +107,14 @@ class CheckConfig:
         return self.rules.get(rule_id, RuleConfig())
 
     def file_excluded(self, path: str) -> bool:
-        return _matches(path, self.exclude)
+        return _matches(os.path.relpath(path, self.root), self.exclude)
 
     def rule_applies(self, rule: Rule, path: str) -> bool:
         """Should ``rule`` run on ``path``, given defaults + config scoping?"""
         cfg = self.rule_config(rule.id)
         if not cfg.enabled:
             return False
+        path = os.path.relpath(path, self.root)
         include = list(rule.default_include) + cfg.include
         if include and not _matches(path, include):
             return False

@@ -3,8 +3,8 @@
 Two passes share one parse per file:
 
 * **per-file rules** (scope ``"file"``) visit each AST independently;
-* **project rules** (scope ``"project"``, RC007–RC010) run once over a
-  :class:`~repro.checks.project.ProjectModel` built from every file's
+* **project rules** (scope ``"project"``, RC008 and RC009) run once over
+  a :class:`~repro.checks.project.ProjectModel` built from every file's
   summary, after all files are in.
 
 Findings from both passes are filtered through per-line ``# repro:
@@ -27,9 +27,24 @@ from .config import CheckConfig
 from .finding import Finding
 from .noqa import collect_suppressions, is_suppressed
 from .project import ProjectModel, extract_summary
-from .registry import Module, ProjectRule, Rule, all_rules
+from .registry import Module, ProjectRule, Rule, all_rules, rule_ids
 
-__all__ = ["collect_files", "lint_files", "lint_paths", "lint_source"]
+__all__ = [
+    "UnknownRuleError",
+    "collect_files",
+    "lint_files",
+    "lint_paths",
+    "lint_source",
+]
+
+
+class UnknownRuleError(ValueError):
+    """A selected or configured rule id names no registered rule.
+
+    Ignoring it would lint as if the id were absent, so a stale
+    ``--select`` or ``[tool.repro.checks.rules.*]`` table would pass
+    forever once its rule is gone.
+    """
 
 
 def collect_files(paths: Iterable[str], config: CheckConfig) -> List[str]:
@@ -49,10 +64,16 @@ def collect_files(paths: Iterable[str], config: CheckConfig) -> List[str]:
 
 
 def _select_rules(config: CheckConfig, select: Optional[Sequence[str]]) -> List[Rule]:
-    chosen = all_rules()
-    if select is not None:
-        wanted = {s.upper() for s in select}
-        chosen = [r for r in chosen if r.id in wanted]
+    known = set(rule_ids())
+    wanted = {s.upper() for s in select} if select is not None else known
+    for where, ids in (("--select", wanted), ("[tool.repro.checks.rules]", config.rules)):
+        unknown = sorted(set(ids) - known)
+        if unknown:
+            raise UnknownRuleError(
+                f"unknown rule id {', '.join(unknown)} in {where}; "
+                f"known ids: {', '.join(sorted(known))}"
+            )
+    chosen = [r for r in all_rules() if r.id in wanted]
     return [
         r.configured(
             severity=config.effective_severity(r),
@@ -91,7 +112,7 @@ def _analyze_source(
         findings.extend(
             f for f in rule.check(module) if not is_suppressed(f, suppressions)
         )
-    return sorted(findings), extract_summary(module, path)
+    return sorted(findings), extract_summary(module)
 
 
 def lint_source(

@@ -6,15 +6,17 @@ objects.  Rules are registered with :func:`register` at import time
 (:mod:`repro.checks.rules` imports every rule module) and looked up by id.
 
 :class:`Module` packages everything a rule needs for one source file —
-the parsed AST and its node list, the raw text, and an import-alias
-resolver so rules can match calls like ``np.random.default_rng()``
-against canonical dotted names (``numpy.random.default_rng``) however
-the module spelled its imports.
+the parsed AST and its node list, the raw text, its inferred module
+name, and the one import-alias resolver, so rules can match calls like
+``np.random.default_rng()`` against canonical dotted names
+(``numpy.random.default_rng``) however the module spelled its imports,
+relative imports included.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 from typing import Dict, Iterable, Iterator, List, Optional, Type
 
 from .finding import Finding
@@ -26,24 +28,49 @@ __all__ = [
     "Rule",
     "all_rules",
     "get_rule",
+    "module_name_for",
     "register",
     "rule_ids",
 ]
+
+
+def module_name_for(path: str) -> str:
+    """Infer the dotted module name of ``path`` from ``__init__.py`` chains.
+
+    ``src/repro/engine/chunks.py`` -> ``repro.engine.chunks`` (``src`` has
+    no ``__init__.py``, so the walk stops there).  A loose file outside
+    any package resolves to its bare stem.
+    """
+    directory, filename = os.path.split(os.path.normpath(path))
+    stem = filename[:-3] if filename.endswith(".py") else filename
+    parts: List[str] = [] if stem == "__init__" else [stem]
+    while directory and os.path.isfile(os.path.join(directory, "__init__.py")):
+        directory, package = os.path.split(directory)
+        if not package:
+            break
+        parts.append(package)
+    return ".".join(reversed(parts)) or stem
 
 
 class ImportMap:
     """Resolve local names to canonical dotted import paths.
 
     ``import numpy as np`` maps ``np -> numpy``; ``from datetime import
-    datetime as dt`` maps ``dt -> datetime.datetime``.  :meth:`resolve`
-    then canonicalizes an attribute chain rooted at an imported name —
-    ``np.random.default_rng`` becomes ``numpy.random.default_rng`` — and
-    returns ``None`` for chains rooted anywhere else (locals, attributes
-    of ``self``, …), which keeps rules from guessing about shadowed names.
+    datetime as dt`` maps ``dt -> datetime.datetime``; a relative import
+    resolves against the importing module's name, so in ``pkg/sub/mod.py``
+    ``from ..other import thing`` maps ``thing -> pkg.other.thing``.
+    :meth:`resolve` then canonicalizes an attribute chain rooted at an
+    imported name — ``np.random.default_rng`` becomes
+    ``numpy.random.default_rng`` — and returns ``None`` for chains rooted
+    anywhere else (locals, attributes of ``self``, …), which keeps rules
+    from guessing about shadowed names.
     """
 
-    def __init__(self, nodes: Iterable[ast.AST]) -> None:
+    def __init__(self, nodes: Iterable[ast.AST], module_name: str, is_package: bool) -> None:
         self._aliases: Dict[str, str] = {}
+        package = module_name.split(".")
+        if not is_package:
+            package = package[:-1]
         for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -51,13 +78,20 @@ class ImportMap:
                     canonical = alias.name if alias.asname else alias.name.split(".")[0]
                     self._aliases[local] = canonical
             elif isinstance(node, ast.ImportFrom):
-                if node.level or node.module is None:
-                    continue  # relative imports stay project-local
+                if node.level:
+                    parts = package[: max(0, len(package) - (node.level - 1))]
+                    if not parts:
+                        continue  # beyond the top-level package: unresolvable
+                    base = ".".join(parts + ([node.module] if node.module else []))
+                elif node.module is not None:
+                    base = node.module
+                else:
+                    continue
                 for alias in node.names:
                     if alias.name == "*":
                         continue
                     local = alias.asname or alias.name
-                    self._aliases[local] = f"{node.module}.{alias.name}"
+                    self._aliases[local] = f"{base}.{alias.name}"
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Canonical dotted name of a ``Name``/``Attribute`` chain, or None."""
@@ -79,7 +113,9 @@ class Module:
 
     ``nodes`` is every node of ``tree`` in :func:`ast.walk` order, walked
     once here; rules and the project summary iterate it instead of
-    walking the whole tree again.
+    walking the whole tree again.  ``name`` is the dotted module name
+    inferred from the path (see :func:`module_name_for`), which anchors
+    the relative imports in ``imports``.
     """
 
     def __init__(self, path: str, text: str, tree: ast.Module) -> None:
@@ -87,7 +123,9 @@ class Module:
         self.text = text
         self.tree = tree
         self.nodes: List[ast.AST] = list(ast.walk(tree))
-        self.imports = ImportMap(self.nodes)
+        self.name = module_name_for(path)
+        is_package = os.path.basename(path) == "__init__.py"
+        self.imports = ImportMap(self.nodes, self.name, is_package)
 
     @classmethod
     def from_source(cls, text: str, path: str = "<snippet>") -> "Module":

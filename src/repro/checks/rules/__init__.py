@@ -11,23 +11,17 @@ from __future__ import annotations
 from .rc001_randomness import UnseededRandomnessRule
 from .rc002_wallclock import WallClockRule
 from .rc003_ordering import UnorderedMergeIterationRule
-from .rc004_picklable import UnpicklableStateRule
 from .rc005_swallow import SwallowedExceptionRule
 from .rc006_exports import ExportsRule
-from .rc007_columns import ColumnContractRule
 from .rc008_envhandoff import EnvHandoffRule
 from .rc009_metrics import MetricContractRule
-from .rc010_picklable_xmod import CrossModulePicklabilityRule
 
 __all__ = [
-    "ColumnContractRule",
-    "CrossModulePicklabilityRule",
     "EnvHandoffRule",
     "ExportsRule",
     "MetricContractRule",
     "SwallowedExceptionRule",
     "UnorderedMergeIterationRule",
-    "UnpicklableStateRule",
     "UnseededRandomnessRule",
     "WallClockRule",
 ]

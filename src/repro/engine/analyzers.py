@@ -29,13 +29,13 @@ what nobody reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..stats.hll import HyperLogLog
 from ..stats.streaming import ReservoirSampler
-from ..trace.record import DEFAULT_BLOCK_SIZE
+from ..trace.record import DEFAULT_BLOCK_SIZE, _request_blocks
 from .analyzer import DEFAULT_PERCENTILES, reservoir_percentiles, volume_seed
 from .chunks import Chunk
 
@@ -338,15 +338,32 @@ class StreamingVolumeProfile:
         return self.wss_read_bytes / self.wss_total_bytes
 
 
-def _add_working_sets(total: HyperLogLog, read: HyperLogLog, write: HyperLogLog,
+#: Most blocks one working-set slice expands at a time: the hash
+#: temporaries then stay near 1 MiB whatever the chunk size.
+_SLICE_BLOCKS = 1 << 14
+
+
+def _add_working_sets(read: HyperLogLog, write: HyperLogLog,
                       block_id: np.ndarray, is_write: np.ndarray) -> None:
-    """Add a chunk's blocks to its total/read/write sketches (same ``p``
-    and seed): each block is hashed and ranked once, and the total is the
-    union of the read and write sketches."""
+    """Add blocks to their read/write sketches (same ``p`` and seed): each
+    block is hashed and ranked once."""
     idx, ranks = read.positions(block_id)
     read.add_positions(idx[~is_write], ranks[~is_write])
     write.add_positions(idx[is_write], ranks[is_write])
-    total.update(read, write)
+
+
+def _request_slices(counts: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Request ranges ``[lo, hi)`` covering at most :data:`_SLICE_BLOCKS`
+    blocks each, given blocks per request (a larger request is a range
+    of its own)."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        start = int(ends[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(ends, start + _SLICE_BLOCKS, side="right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 class _ProfileState:
@@ -360,7 +377,6 @@ class _ProfileState:
         "last_ts",
         "sizes",
         "gaps",
-        "wss_total",
         "wss_read",
         "wss_write",
     )
@@ -376,7 +392,6 @@ class _ProfileState:
         self.last_ts: Optional[float] = None
         self.sizes = _new_reservoir(volume_id, 20, reservoir_size)
         self.gaps = _new_reservoir(volume_id, 21, reservoir_size)
-        self.wss_total = HyperLogLog(hll_precision, seed=seed)
         self.wss_read = HyperLogLog(hll_precision, seed=seed)
         self.wss_write = HyperLogLog(hll_precision, seed=seed)
 
@@ -432,9 +447,16 @@ class StreamingProfileAnalyzer:
         state.gaps.add_array(gaps)
         state.last_ts = float(ts[-1])
         state.sizes.add_array(chunk.sizes.astype(np.float64))
-        req_index, block_id = chunk.block_expansion(self.block_size)
-        is_write = chunk.is_write[req_index]
-        _add_working_sets(state.wss_total, state.wss_read, state.wss_write, block_id, is_write)
+        # Expand and hash blocks a slice of requests at a time: the
+        # sketches are register-wise maxima, so slicing changes nothing
+        # but the size of the temporaries.
+        offsets, sizes, is_write = chunk.offsets, chunk.sizes, chunk.is_write
+        bs = self.block_size
+        counts = (offsets + sizes - 1) // bs - offsets // bs + 1
+        for lo, hi in _request_slices(counts):
+            _, block_id = _request_blocks(offsets[lo:hi], sizes[lo:hi], bs)
+            block_write = np.repeat(is_write[lo:hi], counts[lo:hi])
+            _add_working_sets(state.wss_read, state.wss_write, block_id, block_write)
         return state
 
     def merge(self, earlier: _ProfileState, later: _ProfileState) -> _ProfileState:
@@ -454,7 +476,6 @@ class StreamingProfileAnalyzer:
         merged.sizes = earlier.sizes.merge(later.sizes)
         merged.gaps = earlier.gaps.merge(later.gaps)
         merged.gaps.add(later.first_ts - earlier.last_ts)
-        merged.wss_total = earlier.wss_total.merge(later.wss_total)
         merged.wss_read = earlier.wss_read.merge(later.wss_read)
         merged.wss_write = earlier.wss_write.merge(later.wss_write)
         return merged
@@ -479,6 +500,9 @@ class StreamingProfileAnalyzer:
                 interarrival_percentiles={},
             )
         bs = self.block_size
+        # The total working set is the union of the read and write sets:
+        # its registers are the register-wise max of theirs.
+        wss_total = state.wss_read.merge(state.wss_write)
         return StreamingVolumeProfile(
             volume_id=state.volume_id,
             n_requests=state.n_reads + state.n_writes,
@@ -488,7 +512,7 @@ class StreamingProfileAnalyzer:
             write_bytes=state.write_bytes,
             start_time=float(state.first_ts),
             end_time=float(state.last_ts),
-            wss_total_bytes=state.wss_total.estimate() * bs,
+            wss_total_bytes=wss_total.estimate() * bs,
             wss_read_bytes=state.wss_read.estimate() * bs,
             wss_write_bytes=state.wss_write.estimate() * bs,
             size_percentiles=reservoir_percentiles(state.sizes, self.percentiles),

@@ -126,7 +126,7 @@ class Chunk:
         response_times: optional float64 service times (MSRC traces).
     """
 
-    __slots__ = ("volume_id", "_cols", "_n_rows", "_block_cache")
+    __slots__ = ("volume_id", "_cols", "_n_rows")
 
     def __init__(
         self,
@@ -157,9 +157,6 @@ class Chunk:
                     "a Chunk with no materialized column needs an explicit n_rows"
                 )
         self._n_rows = int(n_rows)
-        #: Memoized request→block expansions keyed by block size, shared by
-        #: analyzers so one chunk is expanded at most once per granularity.
-        self._block_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return self._n_rows
@@ -242,15 +239,10 @@ class Chunk:
         """``(req_index, block_id)`` expansion of the chunk's requests.
 
         Rows are ordered by request then ascending block (the same layout
-        as :func:`repro.trace.blocks.expand_to_blocks`).  Cached per block
-        size so multiple analyzers share one expansion.
+        as :func:`repro.trace.blocks.expand_to_blocks`).
         """
-        cached = self._block_cache.get(block_size)
-        if cached is not None:
-            return cached
         counts, block_id = _request_blocks(self.offsets, self.sizes, block_size)
         req_index = np.repeat(np.arange(len(self), dtype=np.int64), counts)
-        self._block_cache[block_size] = (req_index, block_id)
         return req_index, block_id
 
 

@@ -22,7 +22,7 @@ def build_lint_parser(parser: Optional[argparse.ArgumentParser] = None) -> argpa
         parser = argparse.ArgumentParser(
             prog="repro lint",
             description="check the repro invariants (determinism, mergeability, "
-            "picklability, cross-module contracts) with the RC rule pack",
+            "env-var handoff, gated metric names) with the RC rule pack",
         )
     parser.add_argument(
         "paths", nargs="*",

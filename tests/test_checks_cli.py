@@ -132,12 +132,43 @@ class TestLintMain:
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == ["RC001", "RC002", "RC003", "RC005", "RC006", "RC008", "RC009"]
+
+    @pytest.mark.parametrize("rule_id", ["RC999", "RC007"])
+    def test_unknown_select_id_is_usage_error(self, tree, rule_id, capsys):
+        assert lint_main(["--no-config", "--select", f"RC001,{rule_id}", str(tree)]) == 2
         out = capsys.readouterr().out
-        for rule_id in (
-            "RC001", "RC002", "RC003", "RC004", "RC005",
-            "RC006", "RC007", "RC008", "RC009", "RC010",
-        ):
-            assert rule_id in out
+        assert rule_id in out and "--select" in out
+
+    def test_unknown_rule_table_is_usage_error(self, tree, tmp_path, capsys):
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text("[tool.repro.checks.rules.RC999]\nenabled = true\n")
+        try:
+            code = lint_main(["--config", str(pyproject), str(tree)])
+        except RuntimeError:
+            pytest.skip("no TOML reader on this interpreter")
+        assert code == 2
+        assert "RC999" in capsys.readouterr().out
+
+    def test_exclude_patterns_hold_from_a_subdirectory(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "proj"
+        (root / "lib" / "vendored").mkdir(parents=True)
+        (root / "lib" / "clean.py").write_text(CLEAN)
+        (root / "lib" / "vendored" / "x.py").write_text(DIRTY)
+        (root / "docs").mkdir()
+        (root / "pyproject.toml").write_text(
+            '[tool.repro.checks]\npaths = ["lib"]\nexclude = ["lib/vendored/*"]\n'
+        )
+        for cwd in (root, root / "docs", root / "lib" / "vendored"):
+            monkeypatch.chdir(cwd)
+            try:
+                code = lint_main([])
+            except RuntimeError:
+                pytest.skip("no TOML reader on this interpreter")
+            out = capsys.readouterr().out
+            assert code == 0, (cwd, out)
+            assert "no findings" in out
 
     def test_explicit_config_scopes_rules(self, tree, tmp_path, capsys):
         pyproject = tmp_path / "pyproject.toml"

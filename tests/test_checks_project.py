@@ -1,5 +1,5 @@
-"""Units for the whole-program pass: module naming, import resolution,
-summary extraction, and ProjectModel name lookup."""
+"""Units for the whole-program pass: module naming, the one import
+resolver, summary extraction, and ProjectModel constant lookup."""
 
 import ast
 import textwrap
@@ -7,7 +7,6 @@ import textwrap
 import pytest
 
 from repro.checks import Module, ProjectModel, extract_summary, module_name_for
-from repro.checks.project import render_annotation
 
 
 def write(path, source=""):
@@ -16,8 +15,17 @@ def write(path, source=""):
     return path
 
 
+def parse(path):
+    return Module.from_source(path.read_text(), path=str(path))
+
+
 def summarize(path):
-    return extract_summary(Module.from_source(path.read_text(), path=str(path)))
+    return extract_summary(parse(path))
+
+
+def resolve(module, dotted):
+    """``module.imports`` applied to the expression ``dotted``."""
+    return module.imports.resolve(ast.parse(dotted, mode="eval").body)
 
 
 @pytest.fixture
@@ -51,10 +59,11 @@ class TestImportResolution:
             from json import dumps as as_json
             """,
         )
-        imports = summarize(mod)["imports"]
-        assert imports["os"] == "os"
-        assert imports["np"] == "numpy"
-        assert imports["as_json"] == "json.dumps"
+        module = parse(mod)
+        assert resolve(module, "os.environ") == "os.environ"
+        assert resolve(module, "np.random.default_rng") == "numpy.random.default_rng"
+        assert resolve(module, "as_json") == "json.dumps"
+        assert resolve(module, "local.attr") is None
 
     def test_relative_imports_resolve_against_module(self, pkg):
         mod = write(
@@ -66,66 +75,26 @@ class TestImportResolution:
             from ..other import thing
             """,
         )
-        imports = summarize(mod)["imports"]
-        assert imports["helper"] == "pkg.sub.helper"
-        assert imports["f"] == "pkg.sub.helper.fn"
-        assert imports["top"] == "pkg.top"
-        assert imports["thing"] == "pkg.other.thing"
+        module = parse(mod)
+        assert resolve(module, "helper") == "pkg.sub.helper"
+        assert resolve(module, "f") == "pkg.sub.helper.fn"
+        assert resolve(module, "top.CONST") == "pkg.top.CONST"
+        assert resolve(module, "thing") == "pkg.other.thing"
 
     def test_package_init_resolves_level_one_to_itself(self, pkg):
         init = write(pkg / "__init__.py", "from .sub import mod\n")
-        assert summarize(init)["imports"]["mod"] == "pkg.sub.mod"
+        assert resolve(parse(init), "mod") == "pkg.sub.mod"
+
+    def test_relative_import_beyond_the_top_level_is_unresolved(self, tmp_path):
+        script = write(tmp_path / "script.py", "from . import time\n")
+        assert resolve(parse(script), "time.time") is None
 
 
 class TestProjectModel:
     @pytest.fixture
     def project(self, pkg):
-        a = write(
-            pkg / "a.py",
-            """\
-            ENV_NAME = "REPRO_DEMO"
-
-            def helper(chunk):
-                return chunk.sizes
-
-            class Base:
-                def shared(self):
-                    return 1
-            """,
-        )
-        b = write(
-            pkg / "b.py",
-            """\
-            from .a import Base, helper
-
-            class Child(Base):
-                def own(self):
-                    return helper(None)
-            """,
-        )
-        return ProjectModel([summarize(pkg / "__init__.py"), summarize(a), summarize(b)])
-
-    def test_resolve_absolute_finds_classes_and_functions(self, project):
-        kind, owner, local = project.resolve_absolute("pkg.a.Base")
-        assert (kind, local) == ("class", "Base")
-        assert owner["module"] == "pkg.a"
-        kind, _owner, local = project.resolve_absolute("pkg.a.helper")
-        assert (kind, local) == ("function", "helper")
-
-    def test_resolve_through_import_chain(self, project):
-        child = project.by_module["pkg.b"]
-        # "helper" in b's namespace follows the from-import back to pkg.a
-        kind, owner, local = project.resolve_in(child, ["helper"])
-        assert (kind, owner["module"], local) == ("function", "pkg.a", "helper")
-
-    def test_method_function_follows_bases(self, project):
-        child = project.by_module["pkg.b"]
-        owner, fn = project.method_function(child, "Child", "shared")
-        assert owner["module"] == "pkg.a"
-        assert fn["qualname"] == "Base.shared"
-        # its own methods resolve locally
-        owner, fn = project.method_function(child, "Child", "own")
-        assert owner["module"] == "pkg.b"
+        a = write(pkg / "a.py", 'ENV_NAME = "REPRO_DEMO"\n')
+        return ProjectModel([summarize(pkg / "__init__.py"), summarize(a)])
 
     def test_constant_and_env_var_resolution(self, project):
         assert project.constant("pkg.a.ENV_NAME") == "REPRO_DEMO"
@@ -134,29 +103,8 @@ class TestProjectModel:
         assert project.env_var_name([None, "pkg.a.ENV_NAME", 1, 0, "module"]) == "REPRO_DEMO"
         assert project.env_var_name([None, "pkg.a.MISSING", 1, 0, "module"]) is None
 
-    def test_unresolvable_names_return_none(self, project):
-        assert project.resolve_absolute("numpy.random.default_rng") is None
-        assert project.resolve_absolute("") is None
-
 
 class TestSummaryFacts:
-    def test_function_dataflow_facts(self, pkg):
-        mod = write(
-            pkg / "flow.py",
-            """\
-            def consume(self, state, chunk):
-                sizes = chunk.sizes
-                alias = chunk
-                x = alias.offsets
-                chunk.block_expansion()
-                helper(chunk)
-            """,
-        )
-        fn = summarize(mod)["functions"]["consume"]
-        assert set(fn["attr_reads"]["chunk"]) == {"sizes", "offsets"}
-        assert [c[0] for c in fn["method_calls"]["chunk"]] == ["block_expansion"]
-        assert [f[0] for f in fn["forwards"]["chunk"]] == ["helper"]
-
     def test_env_and_metric_sites(self, pkg):
         mod = write(
             pkg / "knobs.py",
@@ -180,22 +128,6 @@ class TestSummaryFacts:
         sites = {(kind, pattern) for kind, pattern, _l, _c in summary["metric_sites"]}
         assert sites == {("counter", "chunks.read"), ("histogram", "lat.w*")}
 
-    def test_required_columns_both_spellings(self, pkg):
-        mod = write(
-            pkg / "decls.py",
-            """\
-            class ClassLevel:
-                required_columns = ("sizes", "is_write")
-
-            class InitLevel:
-                def __init__(self):
-                    self.required_columns = ("offsets",)
-            """,
-        )
-        classes = summarize(mod)["classes"]
-        assert classes["ClassLevel"]["required_columns"]["cols"] == ["sizes", "is_write"]
-        assert classes["InitLevel"]["required_columns"]["cols"] == ["offsets"]
-
     def test_suppressions_round_trip(self, pkg):
         mod = write(
             pkg / "quiet.py",
@@ -205,17 +137,3 @@ class TestSummaryFacts:
         supp = project.suppressions_for(str(mod))
         assert supp[1] == frozenset({"RC008"})
         assert "*" in supp[2]
-
-
-class TestRenderAnnotation:
-    def _ann(self, source):
-        fn = ast.parse(f"def f(a: {source}): pass").body[0]
-        return render_annotation(fn.args.args[0].annotation)
-
-    def test_shapes(self):
-        assert self._ann("Chunk") == "Chunk"
-        assert self._ann("pkg.Chunk") == "pkg.Chunk"
-        assert self._ann("'Chunk'") == "Chunk"
-        assert self._ann("Optional[Chunk]") == "Chunk"
-        assert self._ann("List[int]") is None
-        assert render_annotation(None) is None

@@ -1,10 +1,6 @@
-"""Fixture-package tests for the whole-program rules RC007-RC010."""
+"""Fixture-package tests for the whole-program rules RC008 and RC009."""
 
-import os
-import shutil
 import textwrap
-
-import pytest
 
 from repro.checks import CheckConfig, RuleConfig, collect_files, lint_files
 
@@ -18,174 +14,6 @@ def write(path, source=""):
 def lint_tree(root, select, config=None):
     config = config if config is not None else CheckConfig()
     return lint_files(collect_files([str(root)], config), config=config, select=select)
-
-
-class TestRC007Columns:
-    @pytest.fixture
-    def pkg(self, tmp_path):
-        root = tmp_path / "pkg"
-        write(root / "__init__.py")
-        write(
-            root / "chunks.py",
-            """\
-            class Chunk:
-                def block_expansion(self):
-                    return self.offsets + self.sizes
-            """,
-        )
-        return root
-
-    def test_direct_undeclared_read_is_an_error(self, pkg):
-        write(
-            pkg / "direct.py",
-            """\
-            class DirectAnalyzer:
-                required_columns = ("sizes",)
-
-                def consume(self, state, chunk):
-                    return chunk.sizes + chunk.offsets
-            """,
-        )
-        (finding,) = lint_tree(pkg, ["RC007"])
-        assert finding.severity == "error"
-        assert "'offsets'" in finding.message
-        assert "DirectAnalyzer.consume" in finding.message
-        assert finding.path.endswith("direct.py")
-        assert finding.line == 5
-
-    def test_read_through_module_helper_is_found(self, pkg):
-        write(
-            pkg / "helpered.py",
-            """\
-            def _tally(chunk):
-                return chunk.timestamps
-
-            class HelperAnalyzer:
-                required_columns = ("sizes",)
-
-                def consume(self, state, chunk):
-                    x = chunk.sizes
-                    return _tally(chunk)
-            """,
-        )
-        (finding,) = lint_tree(pkg, ["RC007"])
-        assert "'timestamps'" in finding.message
-        assert "via _tally()" in finding.message
-        # anchored at the forwarding call site inside consume
-        assert finding.line == 9
-
-    def test_read_through_chunk_method_crosses_modules(self, pkg):
-        write(
-            pkg / "methodical.py",
-            """\
-            from .chunks import Chunk
-
-            class MethodAnalyzer:
-                def __init__(self):
-                    self.required_columns = ("offsets",)
-
-                def consume(self, state, chunk: Chunk):
-                    return chunk.block_expansion()
-            """,
-        )
-        (finding,) = lint_tree(pkg, ["RC007"])
-        assert "'sizes'" in finding.message
-        assert "via Chunk.block_expansion()" in finding.message
-
-    def test_optional_column_and_unread_declaration_are_warnings(self, pkg):
-        write(
-            pkg / "warny.py",
-            """\
-            class WarnAnalyzer:
-                required_columns = ("sizes", "is_write")
-
-                def consume(self, state, chunk):
-                    return chunk.sizes + chunk.response_times
-            """,
-        )
-        findings = lint_tree(pkg, ["RC007"])
-        assert [f.severity for f in findings] == ["warning", "warning"]
-        messages = " / ".join(f.message for f in findings)
-        assert "optional column 'response_times'" in messages
-        assert "declares 'is_write' but consume never reads it" in messages
-
-    def test_honest_declaration_is_clean(self, pkg):
-        write(
-            pkg / "good.py",
-            """\
-            from .chunks import Chunk
-
-            class GoodAnalyzer:
-                required_columns = ("offsets", "sizes")
-
-                def consume(self, state, chunk: Chunk):
-                    return chunk.block_expansion()
-            """,
-        )
-        assert lint_tree(pkg, ["RC007"]) == []
-
-    def test_noqa_on_the_access_site_suppresses(self, pkg):
-        write(
-            pkg / "quiet.py",
-            """\
-            class QuietAnalyzer:
-                required_columns = ("sizes",)
-
-                def consume(self, state, chunk):
-                    x = chunk.offsets  # repro: noqa[RC007]
-                    return chunk.sizes
-            """,
-        )
-        assert lint_tree(pkg, ["RC007"]) == []
-
-    def test_undeclared_classes_are_out_of_scope(self, pkg):
-        write(
-            pkg / "freeform.py",
-            """\
-            class NotAnAnalyzer:
-                def consume(self, state, chunk):
-                    return chunk.offsets
-            """,
-        )
-        assert lint_tree(pkg, ["RC007"]) == []
-
-
-class TestRC007Drill:
-    def test_deleting_a_spatial_column_fails_the_lint(self, tmp_path):
-        """The acceptance drill: drop 'offsets' from TemporalAnalyzer's
-        declaration and RC007 must name the column and the access site
-        (``consume`` reaches it through ``Chunk.block_expansion``)."""
-        import repro
-
-        src = os.path.dirname(repro.__file__)
-        copy = tmp_path / "repro"
-        shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
-        analyzers = copy / "engine" / "analyzers.py"
-        text = analyzers.read_text()
-        wanted = 'self.required_columns = ("timestamps", "offsets", "sizes", "is_write")'
-        start = text.index("class TemporalAnalyzer:")
-        at = text.index(wanted, start)
-        assert at < text.index("\nclass ", start + 1), (
-            "TemporalAnalyzer declaration moved; update the drill"
-        )
-        analyzers.write_text(
-            text[:at]
-            + 'self.required_columns = ("timestamps", "sizes", "is_write")'
-            + text[at + len(wanted):]
-        )
-        findings = lint_tree(copy, ["RC007"])
-        temporal = [f for f in findings if "TemporalAnalyzer" in f.message]
-        assert temporal, findings
-        assert any(
-            "'offsets'" in f.message and f.severity == "error" for f in temporal
-        ), temporal
-        assert all(f.path.endswith("analyzers.py") for f in temporal)
-
-    def test_unmodified_tree_is_clean(self, tmp_path):
-        import repro
-
-        src = os.path.dirname(repro.__file__)
-        assert lint_tree(src, ["RC007"]) == []
 
 
 class TestRC008EnvHandoff:
@@ -375,126 +203,3 @@ class TestRC009Metrics:
         write(root / "__init__.py")
         write(root / "m.py", "x = 1\n")
         assert lint_tree(root, ["RC009"], self._config(tmp_path)) == []
-
-
-class TestRC010CrossModulePicklability:
-    @pytest.fixture
-    def pkg(self, tmp_path):
-        root = tmp_path / "pkg"
-        write(root / "__init__.py")
-        write(
-            root / "factories.py",
-            """\
-            import threading
-
-            def make_cb():
-                return lambda x: x
-
-            def make_data():
-                return {"count": 0}
-
-            def outer():
-                return make_cb()
-
-            class LockBox:
-                def __init__(self):
-                    self.guard = threading.Lock()
-            """,
-        )
-        return root
-
-    def test_factory_returning_lambda_is_flagged(self, pkg):
-        write(
-            pkg / "state.py",
-            """\
-            from .factories import make_cb
-
-            def init_state(state):
-                state.cb = make_cb()
-            """,
-        )
-        (finding,) = lint_tree(pkg, ["RC010"])
-        assert "init_state stores 'cb' from make_cb()" in finding.message
-        assert "lambda" in finding.message
-        assert finding.path.endswith("state.py")
-
-    def test_factory_chain_is_followed(self, pkg):
-        write(
-            pkg / "state.py",
-            """\
-            from .factories import outer
-
-            def init_state(state):
-                state.cb = outer()
-            """,
-        )
-        (finding,) = lint_tree(pkg, ["RC010"])
-        assert "outer()" in finding.message
-        assert "make_cb()" in finding.message
-
-    def test_class_storing_a_lock_is_flagged(self, pkg):
-        write(
-            pkg / "state.py",
-            """\
-            from .factories import LockBox
-
-            def init_state(state):
-                state.box = LockBox()
-            """,
-        )
-        (finding,) = lint_tree(pkg, ["RC010"])
-        assert "constructs LockBox" in finding.message
-        assert "'guard'" in finding.message
-
-    def test_plain_data_factory_and_unresolved_callees_are_clean(self, pkg):
-        write(
-            pkg / "state.py",
-            """\
-            import numpy as np
-
-            from .factories import make_data
-
-            def init_state(state):
-                state.data = make_data()
-                state.buf = np.zeros(4)
-            """,
-        )
-        assert lint_tree(pkg, ["RC010"]) == []
-
-    def test_state_class_methods_are_in_scope(self, pkg):
-        write(
-            pkg / "state.py",
-            """\
-            from .factories import make_cb
-
-            class RunState:
-                def setup(self):
-                    self.cb = make_cb()
-            """,
-        )
-        (finding,) = lint_tree(pkg, ["RC010"])
-        assert "RunState.setup stores 'cb'" in finding.message
-
-    def test_non_state_scopes_are_ignored(self, pkg):
-        write(
-            pkg / "state.py",
-            """\
-            from .factories import make_cb
-
-            def configure(app):
-                app.cb = make_cb()
-            """,
-        )
-        assert lint_tree(pkg, ["RC010"]) == []
-
-    def test_noqa_suppresses(self, pkg):
-        write(
-            pkg / "state.py",
-            """\
-            from .factories import make_cb
-
-            def init_state(state):
-                state.cb = make_cb()  # repro: noqa[RC010]
-            """,
-        )
-        assert lint_tree(pkg, ["RC010"]) == []

@@ -199,65 +199,6 @@ class TestRC003Ordering:
         ) == []
 
 
-class TestRC004Picklable:
-    def test_lambda_on_state_attribute_fires(self):
-        assert rule_lines(
-            """\
-            class FooState:
-                def __init__(self):
-                    self.fn = lambda x: x
-            """,
-            "RC004",
-        ) == [3]
-
-    def test_lock_in_init_state_fires(self):
-        assert rule_lines(
-            """\
-            import threading
-            def init_state(volume_id):
-                return {"lock": threading.Lock()}
-            """,
-            "RC004",
-        ) == [3]
-
-    def test_lambda_in_returned_state_fires(self):
-        assert rule_lines(
-            """\
-            def init_state(volume_id):
-                return {"fn": lambda x: x}
-            """,
-            "RC004",
-        ) == [2]
-
-    def test_open_handle_on_attribute_fires(self):
-        assert rule_lines(
-            """\
-            class ReaderState:
-                def __init__(self, path):
-                    self.fh = open(path)
-            """,
-            "RC004",
-        ) == [3]
-
-    def test_sort_key_lambda_is_clean(self):
-        assert rule_lines(
-            """\
-            def init_state(volume_id):
-                return sorted([3, 1, 2], key=lambda x: -x)
-            """,
-            "RC004",
-        ) == []
-
-    def test_plain_data_state_is_clean(self):
-        assert rule_lines(
-            """\
-            def init_state(volume_id):
-                return {"count": 0, "sum": 0.0, "blocks": {}}
-            """,
-            "RC004",
-        ) == []
-
-
 class TestRC005Swallow:
     def test_bare_except_fires(self):
         assert rule_lines(
@@ -424,7 +365,9 @@ class TestSyntaxErrors:
         assert findings[0].severity == "error"
 
 
-@pytest.mark.parametrize("rule_id", ["RC001", "RC002", "RC003", "RC004", "RC005", "RC006"])
+@pytest.mark.parametrize(
+    "rule_id", ["RC001", "RC002", "RC003", "RC005", "RC006", "RC008", "RC009"]
+)
 def test_every_rule_is_registered_with_metadata(rule_id):
     from repro.checks import get_rule
 

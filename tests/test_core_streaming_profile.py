@@ -4,6 +4,9 @@ Exact counters are checked against the in-memory ``VolumeTrace`` counters,
 estimates against the exact ``working_sets`` and ``interarrival_times``.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +113,31 @@ class TestStreamingVolumeProfiler:
         assert profile.average_intensity == pytest.approx(0.2)
         assert profile.write_read_ratio == float("inf")
         assert profile.read_wss_fraction == pytest.approx(0.0, abs=0.05)
+
+    def test_consume_memory_is_bounded_by_slices(self):
+        """Blocks are expanded and hashed a slice of requests at a time, so
+        a chunk of 2^18 blocks costs a small fraction of its 2 MiB of
+        block ids (one chunk-wide expansion peaked near 18 MiB)."""
+        n, size = 8192, 128 * 1024
+        chunk = Chunk(
+            "v",
+            timestamps=np.arange(n, dtype=np.float64),
+            offsets=np.arange(n, dtype=np.int64) * size,
+            sizes=np.full(n, size, dtype=np.int64),
+            is_write=np.arange(n) % 2 == 0,
+        )
+        analyzer = StreamingProfileAnalyzer()
+        analyzer.consume(analyzer.init_state("v"), chunk)  # first-use imports
+        state = analyzer.init_state("v")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            analyzer.consume(state, chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n * size // BS == 2**18
+        assert peak < 4 * 2**20, peak
 
 
 class TestStreamProfileRequests:

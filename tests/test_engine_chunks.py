@@ -254,12 +254,6 @@ class TestChunkObject:
         assert req_index.tolist() == legacy_req.tolist()
         assert block_id.tolist() == legacy_block.tolist()
 
-    def test_block_expansion_cached(self):
-        chunk = Chunk.from_trace(make_trace())
-        a = chunk.block_expansion(4096)
-        b = chunk.block_expansion(4096)
-        assert a[0] is b[0] and a[1] is b[1]
-
     def test_chunks_from_trace_cover_all_rows(self):
         trace = make_trace(timestamps=[0.0, 1.0, 2.0, 3.0, 4.0])
         chunks = list(chunks_from_trace(trace, chunk_size=2))

@@ -128,9 +128,10 @@ class TestPositions:
         separate[0].add_many(items)
         separate[1].add_many(items[~is_write])
         separate[2].add_many(items[is_write])
-        shared = [HyperLogLog(p, seed=9) for _ in range(3)]
-        _add_working_sets(*shared, items, is_write)
-        for a, b in zip(separate, shared):
+        read, write, total = (HyperLogLog(p, seed=9) for _ in range(3))
+        _add_working_sets(read, write, items, is_write)
+        total.update(read, write)
+        for a, b in zip(separate, (total, read, write)):
             assert np.array_equal(a._registers, b._registers)
 
     @pytest.mark.parametrize("chunks", [1, 3, 17])
@@ -138,12 +139,12 @@ class TestPositions:
         rng = np.random.default_rng(chunks)
         items = rng.integers(0, 50_000, 30_000)
         is_write = rng.random(len(items)) < 0.3
-        sketches = [HyperLogLog(12, seed=4) for _ in range(3)]
+        read, write = HyperLogLog(12, seed=4), HyperLogLog(12, seed=4)
         for part in np.array_split(np.arange(len(items)), chunks):
-            _add_working_sets(*sketches, items[part], is_write[part])
+            _add_working_sets(read, write, items[part], is_write[part])
         fed_every_block = HyperLogLog(12, seed=4)
         fed_every_block.add_many(items)
-        assert np.array_equal(sketches[0]._registers, fed_every_block._registers)
+        assert np.array_equal(read.merge(write)._registers, fed_every_block._registers)
 
     def test_update_requires_same_config(self):
         with pytest.raises(ValueError):

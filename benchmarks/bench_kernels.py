@@ -1,6 +1,6 @@
 """Micro-benchmarks of the analysis kernels themselves.
 
-Unlike the table/figure benches (which run once and assert shape), these
+Unlike the experiments report and the ablations (which run once), these
 measure the throughput of the hot computational kernels the whole
 pipeline rests on, with pytest-benchmark's normal statistical repetition.
 Each lane names the repository-benchmark layer (``benchmarks/suite``,

@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Each benchmark regenerates one table or figure of the paper on the
-calibrated synthetic fleets and prints the same rows/series the paper
-reports.  The fleets are generated once per session; pytest-benchmark
+``bench_experiments.py`` regenerates every table and figure of the paper
+on the calibrated synthetic fleets; the ablations probe design choices on
+them.  The fleets are generated once per session; pytest-benchmark
 measures the analysis computation (not fleet generation).
 
 Fleet size is configurable through environment variables so the same

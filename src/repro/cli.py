@@ -78,7 +78,7 @@ import numpy as np
 from . import __version__, faults
 from .engine import DEFAULT_CHUNK_SIZE, RowPredicate, read_dataset_dir_chunked
 from .engine.runner import parallel_map, resilient_map
-from .lint_parser import build_lint_parser
+from .lint_parser import LINT_DESCRIPTION, build_lint_parser
 from .obs import (
     collecting,
     configure_logging,
@@ -164,6 +164,17 @@ def _finite_seconds(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid number of seconds: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number of seconds, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of ``--block-size``: a whole number of bytes above 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -333,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="per-volume profiles of a trace directory")
     ana.add_argument("trace_dir", help="directory of .csv/.csv.gz trace files")
     ana.add_argument("--format", choices=["alicloud", "msrc"], default="alicloud")
-    ana.add_argument("--block-size", type=int, default=4096)
+    ana.add_argument("--block-size", type=_positive_int, default=4096)
     ana.add_argument("--output", default="-", help="output JSON path ('-' for stdout)")
     _add_engine_flags(ana)
     _add_filter_flags(ana)
@@ -341,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="fleet-level summary of a trace directory")
     rep.add_argument("trace_dir")
     rep.add_argument("--format", choices=["alicloud", "msrc"], default="alicloud")
-    rep.add_argument("--block-size", type=int, default=4096)
+    rep.add_argument("--block-size", type=_positive_int, default=4096)
     _add_engine_flags(rep)
     _add_filter_flags(rep)
 
@@ -382,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument("trace_dir")
     stream.add_argument("--format", choices=["alicloud", "msrc"], default="alicloud")
-    stream.add_argument("--block-size", type=int, default=4096)
+    stream.add_argument("--block-size", type=_positive_int, default=4096)
     stream.add_argument("--output", default="-", help="output JSON path ('-' for stdout)")
     _add_engine_flags(stream)
     _add_filter_flags(stream)
@@ -453,11 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default="-", help="scrub report JSON path ('-' for stdout)"
     )
 
-    lint = sub.add_parser(
-        "lint",
-        help="statically check the repro invariants (determinism, "
-        "mergeability, picklability) with the RC rule pack",
-    )
+    lint = sub.add_parser("lint", help=LINT_DESCRIPTION, description=LINT_DESCRIPTION)
     build_lint_parser(lint)
 
     from .obs.runs import build_runs_parser
@@ -743,9 +750,14 @@ def _findings(args: argparse.Namespace) -> int:
 
 
 def _experiments(args: argparse.Namespace) -> int:
-    from .core.experiments import render_experiments
+    from .core.experiments import render_experiments, select_experiments
     from .synth import alicloud_scale, make_alicloud_fleet, make_msrc_fleet, msrc_scale
 
+    try:
+        select_experiments(args.only)
+    except ValueError as exc:
+        print(f"repro experiments: error: --only: {exc}", file=sys.stderr)
+        return 2
     scale_a = alicloud_scale(day_seconds=args.day_seconds)
     scale_m = msrc_scale(day_seconds=args.day_seconds)
     ali = make_alicloud_fleet(n_volumes=args.volumes, seed=args.seed, scale=scale_a)

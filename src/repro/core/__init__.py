@@ -30,7 +30,7 @@ if TYPE_CHECKING:
         volume_miss_ratios,
     )
     from .comparison import DatasetSummary, WorkloadComparison, compare_datasets
-    from .experiments import EXPERIMENTS, ExperimentContext, render_experiments
+    from .experiments import EXPERIMENTS, ExperimentContext, render_experiments, run_experiments
     from .findings import FINDING_TITLES, Finding, evaluate_findings
     from .hotspots import ZipfFit, concentration_curve, fit_zipf, ranked_block_traffic
     from .load_intensity import (
@@ -145,6 +145,7 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentContext",
     "render_experiments",
+    "run_experiments",
     "DatasetSummary",
     "WorkloadComparison",
     "compare_datasets",
@@ -176,7 +177,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "dataset_miss_ratios", "volume_miss_ratios",
     ),
     ".comparison": ("DatasetSummary", "WorkloadComparison", "compare_datasets"),
-    ".experiments": ("EXPERIMENTS", "ExperimentContext", "render_experiments"),
+    ".experiments": ("EXPERIMENTS", "ExperimentContext", "render_experiments", "run_experiments"),
     ".findings": ("FINDING_TITLES", "Finding", "evaluate_findings"),
     ".hotspots": (
         "ZipfFit", "concentration_curve", "fit_zipf", "ranked_block_traffic",

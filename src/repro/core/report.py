@@ -1,9 +1,9 @@
 """Text rendering of tables and figure series.
 
-The benchmark harness regenerates the paper's tables and figures as text:
-tables as aligned columns, CDF figures as percentile series, boxplot
-figures as five-number rows.  These helpers keep the rendering uniform
-across all benches and the CLI.
+The experiments report regenerates the paper's tables and figures as
+text: tables as aligned columns, CDF figures as percentile series,
+boxplot figures as five-number rows.  These helpers keep the rendering
+uniform across the report, the ablation benches and the CLI.
 """
 
 from __future__ import annotations

@@ -13,7 +13,14 @@ from __future__ import annotations
 import argparse
 from typing import Optional
 
-__all__ = ["build_lint_parser"]
+__all__ = ["LINT_DESCRIPTION", "build_lint_parser"]
+
+#: What ``repro lint`` checks: the ``repro --help`` line and the
+#: ``repro lint --help`` description.
+LINT_DESCRIPTION = (
+    "statically check the repro invariants (determinism, mergeability, "
+    "env-var handoff, gated metric names) with the RC rule pack"
+)
 
 
 def build_lint_parser(parser: Optional[argparse.ArgumentParser] = None) -> argparse.ArgumentParser:
@@ -21,8 +28,7 @@ def build_lint_parser(parser: Optional[argparse.ArgumentParser] = None) -> argpa
     if parser is None:
         parser = argparse.ArgumentParser(
             prog="repro lint",
-            description="check the repro invariants (determinism, mergeability, "
-            "env-var handoff, gated metric names) with the RC rule pack",
+            description=LINT_DESCRIPTION,
         )
     parser.add_argument(
         "paths", nargs="*",

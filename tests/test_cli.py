@@ -59,6 +59,24 @@ class TestParser:
         assert args.workers == 4
         assert args.chunk_size == 1024
 
+    @pytest.mark.parametrize("command", ["analyze", "report", "stream-analyze"])
+    @pytest.mark.parametrize("size", ["0", "-4096", "4k"])
+    def test_block_size_must_be_positive(self, command, size, capsys):
+        # A zero block size used to divide every metric by zero and exit 0.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "dir", "--block-size", size])
+        assert exc.value.code == 2
+        assert "--block-size" in capsys.readouterr().err
+
+    def test_lint_help_is_one_description(self):
+        from repro.lint_parser import LINT_DESCRIPTION, build_lint_parser
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert sub.choices["lint"].description == LINT_DESCRIPTION
+        assert [a.help for a in sub._choices_actions if a.dest == "lint"] == [LINT_DESCRIPTION]
+        assert build_lint_parser().description == LINT_DESCRIPTION
+        assert "picklability" not in LINT_DESCRIPTION
+
 
 class TestJsonSafe:
     def test_non_finite_floats_become_null(self):
@@ -157,6 +175,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table I" in out
         assert "Fig18" not in out
+
+    def test_experiments_selector_matching_nothing_exits_2(self, capsys):
+        # "Figure 15" is inside the id "Figures 14-15 + Table V / ...".
+        assert main(["experiments", "--only", "Table I", "Figure 15"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'Figure 15'" in captured.err
+        assert "Figures 14-15 + Table V" in captured.err
+        assert "'Table I'" not in captured.err
 
     def test_validate_clean(self, tmp_path, capsys):
         out = str(tmp_path / "fleet")

@@ -7,8 +7,8 @@ get columns out of those files:
 * ``text`` — the chunked text path: decode lines, split fields, cast
   ints, on every run.
 * ``store`` — :mod:`repro.store`: ``ingest`` parses once into ``.npy``
-  segments; warm runs serve ``Chunk`` views straight off
-  ``np.load(..., mmap_mode="r")`` with zero text parsing.
+  segments; warm runs serve ``Chunk`` views straight off read-only
+  ``np.memmap`` views with zero text parsing.
 
 Both paths are timed through :func:`repro.engine.read_dataset_dir_chunked`
 at each requested worker count, and the resulting datasets are checked

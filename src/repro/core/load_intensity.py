@@ -13,7 +13,13 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..stats.quantiles import PAPER_PERCENTILES, percentile_groups
-from ..stats.timeseries import bucket_edges, interval_activity, max_interval_count
+from ..stats.timeseries import (
+    active_buckets,
+    bucket_edges,
+    bucket_index,
+    distinct_sorted,
+    max_interval_count,
+)
 from ..trace.dataset import TraceDataset, VolumeTrace
 
 __all__ = [
@@ -186,9 +192,12 @@ def active_volume_timeseries(
     for trace in dataset.volumes():
         if len(trace) == 0:
             continue
-        active += interval_activity(trace.timestamps, interval, t0, t1)
-        read_active += interval_activity(trace.timestamps[~trace.is_write], interval, t0, t1)
-        write_active += interval_activity(trace.timestamps[trace.is_write], interval, t0, t1)
+        # A volume's requests lie in the dataset's [t0, t1] in time order,
+        # so their bucket indices need no range filter and never decrease.
+        idx = bucket_index(trace.timestamps, interval, t0, t1)
+        active[distinct_sorted(idx)] += 1
+        read_active[distinct_sorted(idx[~trace.is_write])] += 1
+        write_active[distinct_sorted(idx[trace.is_write])] += 1
     return ActiveVolumeTimeseries(edges, active, read_active, write_active)
 
 
@@ -212,7 +221,7 @@ def active_period_seconds(
         ts = trace.timestamps
     else:
         raise ValueError(f"op must be None, 'read', or 'write', got {op!r}")
-    return float(interval_activity(ts, interval, t0, t1).sum()) * interval
+    return float(len(active_buckets(ts, interval, t0, t1))) * interval
 
 
 def active_fractions(

@@ -60,10 +60,13 @@ def random_request_mask(
     if n == 0:
         return np.array([], dtype=bool)
     min_dist = np.full(n, np.inf)
+    buf = np.empty(max(n - 1, 0))
     # One vectorized pass per lag: distance to the request `lag` positions
     # earlier; the running minimum over lags 1..window gives the metric.
     for lag in range(1, min(window, n - 1) + 1):
-        d = np.abs(offsets[lag:] - offsets[:-lag])
+        d = buf[: n - lag]
+        np.subtract(offsets[lag:], offsets[:-lag], out=d)
+        np.abs(d, out=d)
         np.minimum(min_dist[lag:], d, out=min_dist[lag:])
     return min_dist > threshold
 
@@ -108,7 +111,7 @@ def _topk_fraction(traffic: np.ndarray, top_fraction: float) -> float:
         return float("nan")
     total = traffic.sum()
     k = max(1, int(len(traffic) * top_fraction))
-    top = np.sort(traffic)[-k:]
+    top = np.partition(traffic, len(traffic) - k)[-k:]
     return float(top.sum() / total)
 
 

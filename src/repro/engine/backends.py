@@ -26,7 +26,6 @@ merging.
 from __future__ import annotations
 
 import math
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from time import perf_counter, sleep
 from typing import (
@@ -47,7 +46,7 @@ from ..obs.tracing import span
 from ..resilience import RetryPolicy, RunErrors, UnitFailure, UnitTimeoutError
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "MapState",
@@ -231,7 +230,7 @@ def run_pool(state: MapState) -> float:
     """
     # Imported here, not with the module: a sequential run never needs
     # the process-pool machinery (multiprocessing, sockets, pickling).
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
     bound, items, labels = state.bound, state.items, state.labels

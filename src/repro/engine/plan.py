@@ -8,7 +8,7 @@ captures, per run, the union of what the analyzers actually need:
 
 * **columns** — the union of each analyzer's declared
   ``required_columns`` (plus whatever the predicate below must read).
-  The store reader then ``np.load``'s only those ``.npy`` segments and
+  The store reader then maps only those ``.npy`` segments and
   text-path chunks prune the rest, so an analyzer touching an
   undeclared column fails loudly
   (:class:`~repro.engine.chunks.ColumnPrunedError`) instead of silently

@@ -378,12 +378,11 @@ def _fold_file(
     time and accounted in the returned :class:`ParseErrors` (None when
     the file was clean).  With ``store`` set the chunks come from the
     worker's own store mmap when a fresh entry exists (zero parsing; the
-    ledger is replayed from the entry's manifest); with ``store.verify``
-    additionally set, a collector travels even under ``strict`` so
-    store-integrity events (corruption, quarantine, self-heal) ship back.
+    ledger is replayed from the entry's manifest), and a collector travels
+    even under ``strict`` so store-integrity events (corruption,
+    quarantine, self-heal) ship back.
     """
-    verifying = store is not None and store.verify
-    parse_errors = ParseErrors() if (on_error != ON_ERROR_STRICT or verifying) else None
+    parse_errors = ParseErrors() if (on_error != ON_ERROR_STRICT or store is not None) else None
     states = _fold_chunks(
         analyzers,
         unit_chunks(

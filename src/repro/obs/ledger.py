@@ -33,7 +33,6 @@ import itertools
 import json
 import os
 import platform
-import socket
 import time
 from typing import Any, Dict, List, Optional
 
@@ -88,7 +87,7 @@ def config_digest(config: Dict[str, Any]) -> str:
 def host_info() -> Dict[str, Any]:
     """Where the run happened — context for cross-host perf comparisons."""
     return {
-        "hostname": socket.gethostname(),
+        "hostname": platform.node(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),

@@ -14,10 +14,13 @@ per-file binary columnar cache:
   source path, size, mtime, trace format, parser version, and error
   policy all participate, so stale or differently-parsed entries
   invalidate automatically;
-* **serving** (:mod:`repro.store.reader`) hands the engine
-  ``np.load(..., mmap_mode="r")`` views — zero text parsing, zero copies
-  until an analyzer slices — through the same ``Chunk`` stream the text
-  path produces, so results stay bit-identical at any worker count;
+* **serving** (:mod:`repro.store.reader`) hands the engine read-only
+  ``np.memmap`` views — zero text parsing, zero copies until an analyzer
+  slices — through the same ``Chunk`` stream the text path produces, so
+  results stay bit-identical at any worker count; each column's header
+  and byte size are checked against the manifest before it is mapped,
+  and a column that fails is quarantined and rebuilt like a corrupt
+  entry;
 * the ingest's **fault ledger** (dropped-line counts, quarantine
   samples) is persisted in the manifest and replayed on warm runs, so
   cached results keep exact error accounting;

@@ -1,13 +1,23 @@
 """Serving chunks from store entries — parse never, mmap always.
 
-A warm read opens the entry's ``.npy`` segments with
-``np.load(..., mmap_mode="r")`` and yields :class:`~repro.engine.chunks.Chunk`
+A warm read maps the entry's ``.npy`` segments read-only
+(:func:`open_segment`) and yields :class:`~repro.engine.chunks.Chunk`
 views straight off the page cache: zero text decode, zero int casts, and
 — for single-volume files (the common layout written by
 :func:`repro.trace.writer.write_dataset_dir`) — zero copies until an
 analyzer slices.  The chunk stream is *structurally identical* to the
 text path at the same ``chunk_size`` (same batch boundaries, same
 volume-sorted splits), so engine results are bit-identical.
+
+Each segment is checked before it is mapped: its header bytes must be
+the ones ``np.save`` writes for the column's dtype and the manifest's row
+count, and its byte size must be that header plus the rows.  A segment
+with any other header (another numpy version's layout) is opened with
+``np.load`` instead and must still hold the manifest's dtype and row
+count.  A segment that fails either check makes the whole entry a
+corrupt one: :func:`try_serve` opens the columns before it returns its
+iterator, so it can quarantine the entry and rebuild it from source
+exactly as ``--verify-store`` does.
 
 Every worker calls :func:`try_serve` itself and opens its own maps;
 :class:`~repro.store.config.StoreConfig` is the only store object that
@@ -16,10 +26,11 @@ crosses a process pool.
 
 from __future__ import annotations
 
+import io
 import os
 import shutil
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +39,6 @@ from ..obs import metrics
 from ..obs.logging import get_logger
 from ..resilience import (
     ON_ERROR_QUARANTINE,
-    ON_ERROR_SKIP,
     ON_ERROR_STRICT,
     ParseErrors,
     StoreCorruption,
@@ -43,7 +53,7 @@ from .manifest import (
     compatible_policy,
     entry_dir,
 )
-from .scrub import load_current_manifest, verify_entry
+from .scrub import EntryIssue, load_current_manifest, verify_entry
 
 if TYPE_CHECKING:  # circular at runtime: engine.chunks lazily imports us
     from ..engine.chunks import Chunk
@@ -53,8 +63,10 @@ __all__ = [
     "ENTRY_STALE",
     "ENTRY_MISS",
     "ENTRY_INCOMPATIBLE",
+    "SegmentMismatch",
     "StoreEntry",
     "entry_status",
+    "open_segment",
     "serve_chunks",
     "serve_range",
     "try_serve",
@@ -67,6 +79,77 @@ ENTRY_FRESH = "fresh"  # manifest matches the source; policy servable
 ENTRY_STALE = "stale"  # entry exists but no longer mirrors the source
 ENTRY_MISS = "miss"  # no entry at all
 ENTRY_INCOMPATIBLE = "incompatible"  # fresh, but cannot serve this policy
+
+
+#: Segment filename -> the dtype the builder writes that column with.
+_SEGMENT_DTYPES = {
+    COLUMN_FILES["timestamps"]: np.dtype(np.float64),
+    COLUMN_FILES["offsets"]: np.dtype(np.int64),
+    COLUMN_FILES["sizes"]: np.dtype(np.int64),
+    COLUMN_FILES["is_write"]: np.dtype(np.bool_),
+    RESPONSE_FILE: np.dtype(np.float64),
+    CODES_FILE: np.dtype(np.int64),
+}
+
+
+class SegmentMismatch(Exception):
+    """A segment that does not hold the column its manifest describes."""
+
+    def __init__(self, issue: EntryIssue) -> None:
+        super().__init__(issue.detail)
+        self.issue = issue
+
+
+def _npy_header(dtype: np.dtype, n_rows: int) -> bytes:
+    """The header ``np.save`` writes for a 1-D ``dtype`` array of ``n_rows``."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": np.lib.format.dtype_to_descr(dtype),
+        "fortran_order": False,
+        "shape": (n_rows,),
+    })
+    return buf.getvalue()
+
+
+def open_segment(entry: str, filename: str, n_rows: int) -> np.ndarray:
+    """Map one column segment read-only, checked against the manifest.
+
+    The common case — the header ``np.save`` wrote for this column's
+    dtype and ``n_rows``, and a file of exactly that header plus the
+    rows — maps the rows with :class:`numpy.memmap` at the header's end,
+    without parsing the header.  Any other header goes through
+    ``np.load(..., mmap_mode="r")``, whose array must still have the
+    column's dtype (byte order aside) and ``n_rows`` rows.  Either way
+    the result is a read-only ``np.memmap``; a missing, short, long or
+    mis-shaped segment raises :class:`SegmentMismatch`.
+    """
+    path = os.path.join(entry, filename)
+    dtype = _SEGMENT_DTYPES[filename]
+    header = _npy_header(dtype, n_rows)
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(header)) == header:
+                size = os.fstat(fh.fileno()).st_size
+                expected = len(header) + n_rows * dtype.itemsize
+                if size != expected:
+                    raise SegmentMismatch(EntryIssue(
+                        "segment-size", filename,
+                        f"{filename} is {size} bytes, its header says {expected}",
+                    ))
+                return np.memmap(fh, dtype=dtype, mode="r", offset=len(header),
+                                 shape=(n_rows,))
+        arr = np.load(path, mmap_mode="r")
+    except (OSError, ValueError, EOFError) as exc:
+        raise SegmentMismatch(
+            EntryIssue("segment-unreadable", filename, f"{filename}: {exc}")
+        ) from exc
+    if arr.shape != (n_rows,) or not np.can_cast(arr.dtype, dtype, casting="equiv"):
+        raise SegmentMismatch(EntryIssue(
+            "segment-shape", filename,
+            f"{filename} holds {arr.dtype.str} {arr.shape}, manifest says "
+            f"{dtype.str} ({n_rows},)",
+        ))
+    return arr
 
 
 @dataclass(frozen=True)
@@ -208,13 +291,18 @@ def serve_range(
     multi-volume entries replicate the text path's stable volume-sorted
     batch split (one fancy-indexed copy per chunk, same as text parsing).
 
-    With a ``plan``, only the plan's columns are ``np.load``-ed at all
+    With a ``plan``, only the plan's columns are opened at all
     (pruned columns never touch the page cache) and the predicate prunes
     rows *before* materialization: disjoint entries and chunks the zone
     maps prove disjoint are skipped unread
     (``plan.files_skipped`` / ``plan.chunks_skipped``), surviving chunks
     are masked with deferred copies, and the served row streams equal
     the unpruned stream post-filtered.
+
+    The columns a serve reads are opened and checked
+    (:func:`open_segment`) by this call, so a corrupt segment raises
+    :class:`SegmentMismatch` here, before any chunk exists; counters and
+    row slicing happen as the returned iterator is consumed.
 
     Range accounting: metrics and ledgers that describe the *file* are
     charged to the sub-range that owns row 0 exactly once — the dropped-
@@ -233,47 +321,76 @@ def serve_range(
     construction — same row streams, different chunking (see DESIGN.md
     on what that means for capacity-bounded sketches).
     """
+    lo = max(0, int(lo))
+    hi = min(int(hi), entry.manifest.n_rows)
+    if plan is not None and plan.is_noop():
+        plan = None
+    predicate = plan.predicate if plan is not None else None
+    if hi <= lo or (predicate is not None and _entry_disjoint(entry.manifest, predicate)):
+        opened = None
+    else:
+        opened = _open_columns(entry, plan)
+    return _serve_rows(entry, lo, hi, chunk_size, on_error, errors, plan, opened)
+
+
+_Opened = Tuple[Dict[str, Optional[np.ndarray]], int, Optional[np.ndarray]]
+
+
+def _open_columns(entry: StoreEntry, plan: Optional[QueryPlan]) -> _Opened:
+    """``(columns, pruned, codes)`` of one serve: each ``Chunk`` column,
+    checked and mapped, or None where the plan prunes it; the number
+    pruned; and the volume codes of a multi-volume entry."""
+    manifest = entry.manifest
+    wanted = plan.load_columns() if plan is not None else None
+    cols: Dict[str, Optional[np.ndarray]] = {}
+    pruned = 0
+    files = dict(COLUMN_FILES)
+    if manifest.has_response:
+        files["response_times"] = RESPONSE_FILE
+    for name, filename in files.items():
+        if wanted is None or name in wanted:
+            cols[name] = open_segment(entry.entry, filename, manifest.n_rows)
+        else:
+            cols[name] = None
+            pruned += 1
+    cols.setdefault("response_times", None)
+    codes = (
+        open_segment(entry.entry, CODES_FILE, manifest.n_rows)
+        if manifest.has_codes else None
+    )
+    return cols, pruned, codes
+
+
+def _serve_rows(
+    entry: StoreEntry,
+    lo: int,
+    hi: int,
+    chunk_size: int,
+    on_error: str,
+    errors: Optional[ParseErrors],
+    plan: Optional[QueryPlan],
+    opened: Optional[_Opened],
+) -> Iterator["Chunk"]:
+    """The chunk stream of :func:`serve_range` over its opened columns
+    (``opened`` is None when no row can be served)."""
     from ..engine.chunks import Chunk
 
     manifest = entry.manifest
     reg = metrics.get_registry()
-    lo = max(0, int(lo))
-    hi = min(int(hi), manifest.n_rows)
     if lo == 0:
         _replay_ledger(manifest, on_error, errors)
     reg.counter("store.hits").inc()
     reg.counter("store.rows").inc(max(0, hi - lo))
     if hi <= lo:
         return
-    if plan is not None and plan.is_noop():
-        plan = None
     predicate = plan.predicate if plan is not None else None
-    n = manifest.n_rows
-    if predicate is not None and _entry_disjoint(manifest, predicate):
+    if opened is None:
         if lo == 0:
             reg.counter("plan.files_skipped").inc()
         reg.counter("plan.rows_pruned").inc(hi - lo)
         return
-
-    wanted = plan.load_columns() if plan is not None else None
-
-    def column(filename: str) -> np.ndarray:
-        return np.load(os.path.join(entry.entry, filename), mmap_mode="r")
-
-    cols: dict = {}
-    pruned_cols = 0
-    for name, filename in COLUMN_FILES.items():
-        if wanted is None or name in wanted:
-            cols[name] = column(filename)
-        else:
-            cols[name] = None
-            pruned_cols += 1
-    if manifest.has_response and (wanted is None or "response_times" in wanted):
-        cols["response_times"] = column(RESPONSE_FILE)
-    else:
-        cols["response_times"] = None
-        if manifest.has_response:
-            pruned_cols += 1
+    cols, pruned_cols, codes = opened
+    n = manifest.n_rows
     reg.counter("store.mmap_bytes").inc(
         sum(int(a.nbytes) for a in cols.values() if a is not None)
     )
@@ -337,7 +454,7 @@ def serve_range(
                 )
         return
 
-    codes = column(CODES_FILE)
+    assert codes is not None
     # Volume predicates narrow the scanned row range to the hull of the
     # wanted volumes' rows (chunks wholly outside skip unread) and mask
     # rows of unwanted volumes inside it.
@@ -465,15 +582,16 @@ def try_serve(
     caller has no text fallback (row coordinates exist only in store
     space) — it must treat ``None`` as an error.
 
-    With ``store.verify`` set, a fresh entry is deep-verified (sha256
-    per segment) before anything trusts its mmap.  A corrupt entry is
-    quarantined (renamed aside), recorded as a
-    :class:`~repro.resilience.StoreCorruption` in ``errors``, and — the
-    source text file necessarily still matching its stamp, or the entry
-    would have been stale — **self-healed** by rebuilding from source,
-    exactly like a miss.  Results are identical to a never-corrupted run.
+    Every serve checks the header and byte size of each column it opens
+    (:func:`open_segment`) before returning its iterator; with
+    ``store.verify`` set, a fresh entry is also deep-verified (sha256 per
+    segment) first.  A corrupt entry is quarantined (renamed aside),
+    recorded as a :class:`~repro.resilience.StoreCorruption` in
+    ``errors``, and — the source text file necessarily still matching its
+    stamp, or the entry would have been stale — **self-healed** by
+    rebuilding from source, exactly like a miss.  Results are identical
+    to a never-corrupted run.
     """
-    from .builder import build_entry
 
     def serve(loaded: StoreEntry) -> Iterator["Chunk"]:
         if row_range is not None:
@@ -487,15 +605,18 @@ def try_serve(
     status, entry = entry_status(path, store, fmt, skip_header, on_error)
     corruption: Optional[StoreCorruption] = None
     if status == ENTRY_FRESH and entry is not None:
-        if store.verify:
-            issues = verify_entry(entry.entry, entry.manifest, deep=True)
-            if not issues:
-                reg.counter("store.entries_verified").inc()
-                return serve(entry)
-            corruption = _quarantine_entry(entry, issues)
-            # Fall through: a quarantined entry is now a rebuildable miss.
-        else:
-            return serve(entry)
+        issues = verify_entry(entry.entry, entry.manifest, deep=True) if store.verify else []
+        if not issues:
+            try:
+                served = serve(entry)
+            except SegmentMismatch as exc:
+                issues = [exc.issue]
+            else:
+                if store.verify:
+                    reg.counter("store.entries_verified").inc()
+                return served
+        corruption = _quarantine_entry(entry, issues)
+        # Fall through: a quarantined entry is now a rebuildable miss.
     if corruption is None:
         reg.counter("store.misses").inc()
         if status == ENTRY_STALE:
@@ -504,6 +625,8 @@ def try_serve(
         if corruption is not None and errors is not None:
             errors.store_events.append(corruption)
         return None
+    from .builder import build_entry
+
     try:
         entry_path, manifest = build_entry(
             path, fmt=fmt, store_dir=store.dir, chunk_size=chunk_size,

@@ -16,6 +16,7 @@ from repro.core import (
     peak_intensity,
     write_read_ratio,
 )
+from repro.stats import bucket_counts, bucket_edges
 from repro.trace import TraceDataset, VolumeTrace
 
 from conftest import make_trace
@@ -174,3 +175,64 @@ class TestOnFleet:
         for v in tiny_ali.non_empty_volumes():
             if v.duration > 60:
                 assert peak_intensity(v, 60.0) >= average_intensity(v) * 0.5
+
+
+def _reference_activity(ts, interval, t0, t1):
+    """Per-bucket activity by the edge-array definition."""
+    n = len(bucket_edges(t0, t1, interval)) - 1
+    if len(ts) == 0:
+        return np.zeros(n, dtype=bool)
+    _, counts = bucket_counts(ts, interval, t0, t1)
+    return counts > 0
+
+
+#: Volume timestamps for the edge cases: one request, one bucket, events on
+#: boundaries and at the end, a span that is an exact multiple of 10 s.
+_EDGE_TRACES = {
+    "single-request": [7.0],
+    "one-bucket": [1.0, 1.5, 1.5, 9.9],
+    "on-boundaries": [0.0, 10.0, 20.0, 30.0, 30.0],
+    "exact-multiple-span": [0.0, 5.0, 30.0],
+}
+
+
+class TestGridFreeAgainstEdgeArrays:
+    """Peak intensity and activity counts equal the ``bucket_edges`` /
+    ``bucket_counts`` definition they replaced."""
+
+    @pytest.mark.parametrize("case", list(_EDGE_TRACES))
+    def test_peak_intensity_edges(self, case):
+        ts = np.array(_EDGE_TRACES[case])
+        tr = make_trace(timestamps=ts, is_write=[i % 2 == 0 for i in range(len(ts))])
+        _, counts = bucket_counts(ts, 10.0)
+        assert peak_intensity(tr, 10.0) == counts.max() / 10.0
+
+    @pytest.mark.parametrize("case", list(_EDGE_TRACES))
+    def test_active_period_edges(self, case):
+        ts = np.array(_EDGE_TRACES[case])
+        tr = make_trace(timestamps=ts, is_write=[i % 2 == 0 for i in range(len(ts))])
+        for op, mask in (
+            (None, np.ones(len(ts), bool)), ("read", ~tr.is_write), ("write", tr.is_write)
+        ):
+            want = float(_reference_activity(tr.timestamps[mask], 10.0, 0.0, 30.0).sum()) * 10.0
+            assert active_period_seconds(tr, 0.0, 30.0, 10.0, op) == want
+
+    def test_fleet_at_scaled_minute_interval(self, tiny_ali):
+        interval = 60.0 / 1440  # one "minute" of a 60 s day
+        t0, t1 = tiny_ali.start_time, tiny_ali.end_time
+        want = {k: np.zeros(len(bucket_edges(t0, t1, interval)) - 1, np.int64)
+                for k in ("active", "read_active", "write_active")}
+        for v in tiny_ali.volumes():
+            if len(v) == 0:
+                continue
+            _, counts = bucket_counts(v.timestamps, interval)
+            assert peak_intensity(v, interval) == counts.max() / interval
+            want["active"] += _reference_activity(v.timestamps, interval, t0, t1)
+            want["read_active"] += _reference_activity(
+                v.timestamps[~v.is_write], interval, t0, t1)
+            want["write_active"] += _reference_activity(
+                v.timestamps[v.is_write], interval, t0, t1)
+        got = active_volume_timeseries(tiny_ali, interval)
+        assert np.array_equal(got.edges, bucket_edges(t0, t1, interval))
+        for key, counts in want.items():
+            assert np.array_equal(getattr(got, key), counts), key

@@ -12,6 +12,7 @@ from repro.core import (
     update_coverage,
     working_sets,
 )
+from repro.core.spatial import _topk_fraction
 from repro.trace import TraceDataset, VolumeTrace
 
 from conftest import make_trace
@@ -64,6 +65,19 @@ class TestRandomness:
         with pytest.raises(ValueError):
             random_request_mask(make_trace(), window=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 33, 200])
+    def test_mask_equals_pairwise_definition(self, n):
+        rng = np.random.default_rng(n)
+        offsets = rng.integers(0, 64, n) * 64 * 1024
+        tr = make_trace(timestamps=list(range(n)), offsets=offsets.tolist(),
+                        sizes=[BS] * n, is_write=[False] * n)
+        want = [
+            i == 0 or min(abs(int(offsets[i]) - int(offsets[j]))
+                          for j in range(max(0, i - 32), i)) > 128 * 1024
+            for i in range(n)
+        ]
+        assert random_request_mask(tr).tolist() == want
+
 
 class TestTopKTraffic:
     def test_uniform_traffic(self):
@@ -92,6 +106,16 @@ class TestTopKTraffic:
             topk_block_traffic_fraction(make_trace(), 0.0, "read")
         with pytest.raises(ValueError):
             topk_block_traffic_fraction(make_trace(), 0.1, "both")
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.10, 0.5, 1.0])
+    def test_selection_equals_sorted_top_k(self, fraction):
+        # Ties and zeros included: the top-k multiset, hence its int64 sum,
+        # is the one a full sort would pick.
+        traffic = np.random.default_rng(1).integers(0, 20, 1000).astype(np.int64) * BS
+        nonzero = traffic[traffic > 0]
+        k = max(1, int(len(nonzero) * fraction))
+        want = float(np.sort(nonzero)[-k:].sum() / nonzero.sum())
+        assert _topk_fraction(traffic, fraction) == want
 
     def test_full_fraction_is_total(self):
         tr = make_trace(is_write=[False] * 4)

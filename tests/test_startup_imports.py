@@ -218,6 +218,39 @@ def test_findings_skips_heavy_modules(fleets):
     assert _loaded_after(f"import repro.cli; repro.cli.main({argv!r})", forbidden) == []
 
 
+#: Modules a one-worker run never needs: the process pool's futures and
+#: the socket layer (the ledger names the host with ``platform.node()``).
+POOL_AND_SOCKET = ("concurrent.futures", "socket")
+
+
+def test_warm_findings_loads_no_pool_socket_or_builder(fleets):
+    """The run ledger stays on: it is what every default run pays for."""
+    ali, msrc, root = fleets
+    argv = ["findings", "--ali-dir", ali, "--msrc-dir", msrc, "--store", "--workers", "1",
+            "--ledger-dir", os.path.join(root, "ledger")]
+    main(argv)  # builds the store entries; the run below finds them warm
+    forbidden = POOL_AND_SOCKET + ("repro.store.builder",)
+    assert _loaded_after(f"import repro.cli; repro.cli.main({argv!r})", forbidden) == []
+
+
+def test_one_worker_stream_analyze_loads_no_pool_or_socket(fleets):
+    ali, _, root = fleets
+    argv = ["stream-analyze", ali, "--no-store", "--workers", "1",
+            "--ledger-dir", os.path.join(root, "ledger"),
+            "--output", os.path.join(root, "stream-w1.json")]
+    assert _loaded_after(f"import repro.cli; repro.cli.main({argv!r})", POOL_AND_SOCKET) == []
+
+
+def test_two_workers_still_pool(fleets):
+    ali, _, root = fleets
+    argv = ["stream-analyze", ali, "--no-store", "--workers", "2", "--no-ledger",
+            "--output", os.path.join(root, "stream-w2.json")]
+    loaded = _loaded_after(
+        f"import repro.cli; repro.cli.main({argv!r})", ("concurrent.futures.process",)
+    )
+    assert loaded == ["concurrent.futures.process"]
+
+
 def test_lazy_scipy_modules_keep_their_exports():
     assert repro.stats.__all__ == STATS_ALL
     assert repro.trace.__all__ == TRACE_ALL

@@ -13,6 +13,7 @@ from repro.stats import (
     log_histogram,
     max_interval_count,
 )
+from repro.stats.timeseries import active_buckets
 
 
 class TestHistograms:
@@ -104,6 +105,61 @@ class TestTimeseries:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             bucket_edges(0, 1, 0)
+        with pytest.raises(ValueError):
+            interval_activity(np.array([]), 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            interval_activity(np.array([0.5]), 1.0, 2.0, 1.0)
+
+
+#: (timestamps, interval, t0, t1) edge cases for the grid-free bucketing.
+_EDGE_CASES = {
+    "single-request": ([5.0], 1.0, 0.0, 9.0),
+    "one-bucket": ([1.0, 1.2, 1.2, 1.9], 1.0, 0.0, 4.0),
+    "on-boundaries-and-t1": ([0.0, 1.0, 2.0, 3.0, 3.0], 1.0, 0.0, 3.0),
+    "exact-multiple-span": ([0.0, 3.0, 6.0, 9.0, 9.0], 3.0, 0.0, 9.0),
+    "outside-window": ([-1.0, 0.5, 0.5, 3.9, 4.0, 10.0], 1.0, 0.0, 4.0),
+    "unsorted": ([5.0, 0.1, 0.2, 5.5, 0.3], 1.0, 0.0, 6.0),
+    "fractional-interval": (
+        list(np.sort(np.random.default_rng(5).uniform(0, 6.35 * 31, 3000))),
+        6.35 / 1440, 0.0, 6.35 * 31,
+    ),
+}
+
+
+class TestGridFreeBucketing:
+    """``max_interval_count`` and ``interval_activity`` never build the
+    bucket grid; ``bucket_edges``/``bucket_counts`` stay the definition
+    they must equal."""
+
+    @pytest.mark.parametrize("case", list(_EDGE_CASES))
+    def test_max_interval_count_equals_reference(self, case):
+        ts, interval, _, _ = _EDGE_CASES[case]
+        ts = np.array(ts)
+        _, counts = bucket_counts(ts, interval)
+        assert max_interval_count(ts, interval) == counts.max()
+
+    @pytest.mark.parametrize("case", list(_EDGE_CASES))
+    def test_interval_activity_equals_reference(self, case):
+        ts, interval, t0, t1 = _EDGE_CASES[case]
+        ts = np.array(ts)
+        edges, counts = bucket_counts(ts, interval, t0, t1)
+        active = interval_activity(ts, interval, t0, t1)
+        assert len(active) == len(edges) - 1
+        assert np.array_equal(active, counts > 0)
+        assert np.array_equal(active_buckets(ts, interval, t0, t1), np.flatnonzero(counts))
+
+    def test_exact_multiple_span_has_span_over_interval_buckets(self):
+        assert len(interval_activity(np.array([9.0]), 3.0, 0.0, 9.0)) == 3
+        assert list(active_buckets(np.array([9.0]), 3.0, 0.0, 9.0)) == [2]
+
+    def test_no_event_in_window(self):
+        ts = np.array([-2.0, 7.0])
+        assert not interval_activity(ts, 1.0, 0.0, 4.0).any()
+        assert len(active_buckets(ts, 1.0, 0.0, 4.0)) == 0
+
+    def test_max_interval_count_rejects_empty(self):
+        with pytest.raises(ValueError):
+            max_interval_count(np.array([]), 1.0)
 
 
 class TestStreaming:

@@ -34,10 +34,13 @@ from repro.store import (
     entry_status,
     ingest_dir,
     ingest_file,
+    segment_files,
 )
+from repro.store.reader import SegmentMismatch, open_segment
 from repro.synth import Scale, make_alicloud_fleet, make_msrc_fleet
 from repro.trace import write_dataset_dir
 from repro.trace.reader import TraceFormatError
+from repro.trace.writer import write_msrc
 
 SCALE = Scale(n_days=2, day_seconds=30.0)
 
@@ -402,6 +405,87 @@ class TestServing:
             read_dataset_dir_chunked(msrc_dir, fmt="msrc", store=a),
             read_dataset_dir_chunked(msrc_dir, fmt="msrc", store=b),
         )
+
+
+def _built_entry(kind, ali_dir, tmp_path):
+    """A fresh store entry: one AliCloud volume, several MSRC volumes in one
+    file (volume codes and response times), or zero rows."""
+    store = StoreConfig(dir=str(tmp_path / "store"))
+    if kind == "alicloud":
+        path, fmt = list_trace_files(ali_dir)[0], "alicloud"
+    elif kind == "msrc-multi":
+        path, fmt = str(tmp_path / "mixed.csv"), "msrc"
+        write_msrc(make_msrc_fleet(n_volumes=3, seed=7, scale=SCALE), path)
+    else:
+        path, fmt = str(tmp_path / "empty.csv"), "alicloud"
+        open(path, "w").close()
+    ingest_file(path, fmt=fmt, store_dir=store.dir)
+    status, entry = entry_status(path, store, fmt)
+    assert status == ENTRY_FRESH
+    return entry
+
+
+class TestSegmentLoader:
+    """``open_segment`` maps exactly what ``np.load(mmap_mode="r")`` maps."""
+
+    @pytest.mark.parametrize("kind", ["alicloud", "msrc-multi", "empty"])
+    def test_columns_equal_np_load(self, kind, ali_dir, tmp_path):
+        entry = _built_entry(kind, ali_dir, tmp_path)
+        names = segment_files(entry.manifest)
+        if kind == "msrc-multi":
+            assert {"vol_codes.npy", "response_times.npy"} <= set(names)
+        assert (entry.manifest.n_rows == 0) == (kind == "empty")
+        for name in names:
+            served = open_segment(entry.entry, name, entry.manifest.n_rows)
+            loaded = np.load(os.path.join(entry.entry, name), mmap_mode="r")
+            assert isinstance(served, np.memmap), name
+            assert not served.flags.writeable, name
+            assert served.dtype == loaded.dtype, name
+            assert served.shape == loaded.shape, name
+            assert served.tobytes() == loaded.tobytes(), name
+
+    def test_other_header_layout_loads_through_np_load(self, ali_dir, tmp_path):
+        entry = _built_entry("alicloud", ali_dir, tmp_path)
+        path = os.path.join(entry.entry, "timestamps.npy")
+        original = np.load(path)
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_2_0(fh, {
+                "descr": np.lib.format.dtype_to_descr(original.dtype),
+                "fortran_order": False,
+                "shape": original.shape,
+            })
+            fh.write(original.tobytes())
+        assert open(path, "rb").read(8) == b"\x93NUMPY\x02\x00"
+        served = open_segment(entry.entry, "timestamps.npy", entry.manifest.n_rows)
+        assert isinstance(served, np.memmap)
+        assert not served.flags.writeable
+        assert served.dtype == original.dtype
+        assert served.tobytes() == original.tobytes()
+
+    def test_damaged_segments_raise_by_name(self, ali_dir, tmp_path):
+        entry = _built_entry("alicloud", ali_dir, tmp_path)
+        n = entry.manifest.n_rows
+        with open(os.path.join(entry.entry, "offsets.npy"), "r+b") as fh:
+            fh.truncate(os.path.getsize(fh.name) - 8)
+        sizes = np.load(os.path.join(entry.entry, "sizes.npy"))
+        np.save(os.path.join(entry.entry, "sizes.npy"), sizes[: n // 2])
+        np.save(os.path.join(entry.entry, "is_write.npy"), np.zeros(n, dtype=np.int8))
+        os.remove(os.path.join(entry.entry, "timestamps.npy"))
+        entry_with_empty_file = _built_entry("empty", ali_dir, tmp_path)
+        open(os.path.join(entry_with_empty_file.entry, "sizes.npy"), "wb").close()
+        with pytest.raises(SegmentMismatch, match="sizes.npy"):
+            open_segment(entry_with_empty_file.entry, "sizes.npy", 0)
+        expected = {
+            "offsets.npy": "segment-size",
+            "sizes.npy": "segment-shape",
+            "is_write.npy": "segment-shape",
+            "timestamps.npy": "segment-unreadable",
+        }
+        for name, kind in expected.items():
+            with pytest.raises(SegmentMismatch, match=name) as caught:
+                open_segment(entry.entry, name, n)
+            assert caught.value.issue.kind == kind
+            assert caught.value.issue.segment == name
 
 
 class TestCLI:

@@ -11,12 +11,14 @@ the column writes and the manifest write (the builder's commit point)
 leaves no partial entry behind.
 """
 
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro import faults
@@ -71,6 +73,25 @@ def _entries(store_dir):
         for name in os.listdir(store_dir)
         if os.path.isdir(os.path.join(store_dir, name))
     )
+
+
+def _lose_last_bytes(path, n=8):
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) - n)
+
+
+def _understate_rows(path):
+    """Rewrite the header in place to claim half the rows the file holds."""
+    array = np.load(path, mmap_mode="r")
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": np.lib.format.dtype_to_descr(array.dtype),
+        "fortran_order": False,
+        "shape": (len(array) // 2,),
+    })
+    assert len(header.getvalue()) == array.offset
+    with open(path, "r+b") as fh:
+        fh.write(header.getvalue())
 
 
 def _flip_byte(path, offset=200):
@@ -262,6 +283,70 @@ class TestQuarantineAndSelfHeal:
         ]) == 0
         capsys.readouterr()
         assert verified.read_text() == plain.read_text()
+
+
+class TestServeTimeSegmentChecks:
+    """Without ``--verify-store``, serving still checks each column's header
+    and size before trusting its mmap; a damaged column heals like a
+    corrupt entry instead of failing inside numpy."""
+
+    @pytest.mark.parametrize(
+        "segment, damage",
+        [("offsets.npy", _lose_last_bytes), ("sizes.npy", _understate_rows)],
+        ids=["offsets-lost-8-bytes", "sizes-header-understates-rows"],
+    )
+    def test_damaged_column_heals_bit_identically(
+        self, ali_dir, warm_store, tmp_path, capsys, segment, damage
+    ):
+        text = tmp_path / "text.json"
+        assert main(["stream-analyze", ali_dir, "--no-store", "--output", str(text)]) == 0
+        damage(os.path.join(_entries(warm_store)[0], segment))
+
+        healed = tmp_path / "healed.json"
+        metrics_out = tmp_path / "metrics.json"
+        errors_out = tmp_path / "errors.json"
+        rc = main([
+            "stream-analyze", ali_dir, "--store-dir", warm_store,
+            "--metrics-out", str(metrics_out), "--errors-out", str(errors_out),
+            "--output", str(healed),
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        assert healed.read_text() == text.read_text()
+        counters = json.loads(metrics_out.read_text())["counters"]
+        assert counters["store.corrupt_entries"] == 1
+        assert counters["store.self_healed"] == 1
+        events = json.loads(errors_out.read_text())["store_corruptions"]
+        assert len(events) == 1 and events[0]["healed"] is True
+        assert segment in events[0]["issues"][0]
+        assert scrub_store(warm_store, deep=True).ok
+
+    def test_damaged_column_without_build_falls_back_to_text(self, ali_dir, warm_store):
+        entry = _entries(warm_store)[0]
+        _lose_last_bytes(os.path.join(entry, "offsets.npy"))
+        text = read_dataset_dir_chunked(ali_dir, fmt="alicloud")
+        errors = RunErrors(policy=ON_ERROR_SKIP)
+        served = read_dataset_dir_chunked(
+            ali_dir, fmt="alicloud", errors=errors, on_error=ON_ERROR_SKIP,
+            store=StoreConfig(dir=warm_store, build=False),
+        )
+        assert served.volume_ids() == text.volume_ids()
+        for vid in text.volume_ids():
+            for col in ("timestamps", "offsets", "sizes", "is_write"):
+                assert np.array_equal(getattr(text[vid], col), getattr(served[vid], col))
+        assert len(errors.store_corruptions) == 1
+        assert errors.store_corruptions[0].healed is False
+        assert not os.path.isdir(entry)
+
+    def test_findings_over_damaged_store_matches_text(self, ali_dir, warm_store, capsys):
+        rc_text = main(["findings", "--verbose", "--ali-dir", ali_dir, "--no-store"])
+        text = capsys.readouterr().out
+        _understate_rows(os.path.join(_entries(warm_store)[1], "sizes.npy"))
+        rc_store = main([
+            "findings", "--verbose", "--ali-dir", ali_dir, "--store-dir", warm_store,
+        ])
+        assert capsys.readouterr().out == text
+        assert rc_store == rc_text
 
 
 class TestIngestCrashDrill:
